@@ -22,8 +22,8 @@ import numpy as np
 from . import bench as bench_mod
 from .conformal import loo_residuals, predict_intervals_batch, predict_sets_batch
 from .core import (
-    CoverageFailure, Dataset, MPConfig, MPInferError, NonNumericCell, Task,
-    load_dataset, save_dataset,
+    CoverageFailure, Dataset, DimensionMismatch, MissingColumn, MPConfig,
+    MPInferError, Task, TooFewRows, _parse_cell, load_dataset, save_dataset,
 )
 from .ensemble import train_ensemble
 from .learners import learner_from_name
@@ -141,31 +141,33 @@ def _cmd_infer(args) -> int:
 
 
 def _read_new_points(path, data: Dataset) -> np.ndarray:
+    """New rows as a (T, M) matrix, columns matched to the training
+    features by header name."""
     with open(path, newline="", encoding="utf8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise TooFewRows(f"{path}: empty file")
         rows = [r for r in reader if r]
-    names = list(data.feature_names or [])
-    if names and all(n in header for n in names):
-        cols = [header.index(n) for n in names]
-    else:
-        cols = list(range(data.n_features))
+    missing = [n for n in data.feature_names if n not in header]
+    if missing:
+        raise MissingColumn(f"{path}: no column named {missing[0]!r}")
+    cols = [header.index(n) for n in data.feature_names]
     out = np.empty((len(rows), data.n_features))
     for r, row in enumerate(rows):
-        for c, idx in enumerate(cols):
-            try:
-                out[r, c] = float(row[idx])
-            except ValueError:
-                raise NonNumericCell(r, header[idx]) from None
+        if len(row) != len(header):
+            raise DimensionMismatch(
+                f"{path}: data row {r} has {len(row)} cells, expected {len(header)}")
+        out[r] = [_parse_cell(row[idx], r, header[idx]) for idx in cols]
     return out
 
 
 def _cmd_predict(args) -> int:
     data = _load(args)
+    X_new = _read_new_points(args.new_data, data)
     config = _config_from(args)
     ens = train_ensemble(data, config, threads=args.threads)
     res = loo_residuals(ens)
-    X_new = _read_new_points(args.new_data, data)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     if data.task == Task.REGRESSION:
@@ -175,7 +177,7 @@ def _cmd_predict(args) -> int:
     else:
         writer.writerow(["row_id", "labels"])
         for t, ps in enumerate(predict_sets_batch(ens, res, X_new, config.alpha)):
-            writer.writerow([t, ";".join(str(y) for y in ps.labels)])
+            writer.writerow([t, ";".join(data.label_names[y] for y in ps.labels)])
     _emit(buf.getvalue(), args.out)
     return EXIT_OK
 

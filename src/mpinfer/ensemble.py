@@ -7,9 +7,10 @@ Every leave-one-out / leave-one-covariate-out query is then a masked
 average over the cache: no model is ever refit after training.
 
 Memory: the cache costs K*N*d doubles (e.g. K=10,000, N=2,000, d=1 is
-160 MB); queries scan masks at K*N bools per feature.  Training is pure
-per patch, so worker threads only shard the patch index range and output
-is byte-identical for any thread count.
+160 MB); LOO, LOCO and new-point LOO are each one pass of mask GEMMs over
+blocks of patches.  Training is pure per patch, so worker threads only
+shard the patch index range and output is byte-identical for any thread
+count.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .core import (
 )
 from .learners import (
     ConstantModel, FittedModel, LinearModel, RidgeLearner, TreeModel, _Node,
+    learner_from_obj, learner_to_obj,
 )
 from .rng import generator
 
@@ -35,6 +37,10 @@ __all__ = [
 ]
 
 _PATCH_STREAM = "minipatches"
+
+# Size of one float scratch buffer in the blocked contractions: big enough
+# for BLAS-sized GEMMs, small enough that the cache sets peak memory.
+_BLOCK_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -66,10 +72,9 @@ def sample_minipatches(N: int, M: int, n: int, m: int, K: int, seed: int) -> lis
 class Ensemble:
     """K fitted minipatch models plus the prediction cache and masks.
 
-    Immutable after construction; all query methods are read-only and
-    safe to call concurrently.  Aggregations are computed through one
-    vectorised kernel and memoised, so repeated queries are cheap and
-    single-index queries agree exactly with full-column queries.
+    Immutable after construction.  Query methods keep no cache of their
+    own, so they are read-only and safe to call concurrently; every
+    answer is recomputed from the cache and masks.
     """
 
     def __init__(self, dataset: Dataset, config: MPConfig,
@@ -82,58 +87,46 @@ class Ensemble:
         self.cache = cache            # (K, N, d)
         self.obs_mask = obs_mask      # (K, N) bool, True iff row in patch
         self.feat_mask = feat_mask    # (K, M) bool, True iff feature in patch
-        self._loo = None
-        self._loo_counts = None
-        self._loco: dict[int, np.ndarray] = {}
 
     @property
     def K(self) -> int:
         return len(self.patches)
 
-    @property
-    def pred_dim(self) -> int:
-        return self.cache.shape[2]
-
-    # -- vectorised aggregation kernels ---------------------------------
+    # -- mask-by-cache contractions -------------------------------------
     # Hole handling: a row whose qualifying set is empty only errors when
     # that row is actually asked for; whole-matrix consumers require full
     # coverage and fail on the first hole.
 
-    def _loo_stats(self):
-        if self._loo is None:
-            excl = (~self.obs_mask).astype(float)          # (K, N)
-            counts = excl.sum(axis=0)                      # (N,)
-            numer = np.einsum("kn,knd->nd", excl, self.cache)
-            self._loo = numer
-            self._loo_counts = counts
-        return self._loo, self._loo_counts
+    def leave_out_sums(self, features=()):
+        """Sums (N, 1 + J, d) and counts (N, 1 + J) in one pass: column 0
+        over the patches that exclude the row, column 1 + j over those
+        that also exclude feature ``features[j]``."""
+        features = np.asarray(features, dtype=np.int64)
+        (K, N, d), M = self.cache.shape, self.feat_mask.shape[1]
+        if features.size and not (0 <= features.min() and features.max() < M):
+            raise DimensionMismatch(f"feature indices must lie in [0, {M})")
+        numer = np.zeros((N, 1 + features.size, d))
+        counts = np.zeros((N, 1 + features.size))
+        step = max(1, _BLOCK_BYTES // (8 * N))
+        for lo in range(0, K, step):
+            excl = (~self.obs_mask[lo:lo + step]).astype(float)
+            held = self.feat_mask[lo:lo + step, features].astype(float)
+            counts[:, 0] += excl.sum(axis=0)
+            counts[:, 1:] += excl.T @ held
+            for c in range(d):
+                part = excl * self.cache[lo:lo + step, :, c]
+                numer[:, 0, c] += part.sum(axis=0)
+                numer[:, 1:, c] += part.T @ held
+        # LOCO is LOO minus the patches holding j, so the LOO column does
+        # not depend on J and a feature no patch holds gets it exactly.
+        numer[:, 1:] = numer[:, :1] - numer[:, 1:]
+        counts[:, 1:] = counts[:, :1] - counts[:, 1:]
+        return numer, counts
 
     def loo_all(self) -> np.ndarray:
         """LOO prediction for every training row, shape (N, d)."""
-        numer, counts = self._loo_stats()
-        bad = np.nonzero(counts == 0)[0]
-        if bad.size:
-            raise CoverageFailure(int(bad[0]))
-        return numer / counts[:, None]
-
-    def _loco_stats(self, j: int):
-        if j not in self._loco:
-            if not 0 <= j < self.feat_mask.shape[1]:
-                raise DimensionMismatch(f"feature index {j} out of range")
-            excl = (~self.obs_mask) & (~self.feat_mask[:, j])[:, None]
-            excl = excl.astype(float)
-            counts = excl.sum(axis=0)
-            numer = np.einsum("kn,knd->nd", excl, self.cache)
-            self._loco[j] = (numer, counts)
-        return self._loco[j]
-
-    def loo_loco_all(self, j: int) -> np.ndarray:
-        """LOO prediction with feature j occluded, for every row."""
-        numer, counts = self._loco_stats(j)
-        bad = np.nonzero(counts == 0)[0]
-        if bad.size:
-            raise CoverageFailure(int(bad[0]), j)
-        return numer / counts[:, None]
+        numer, counts = self.leave_out_sums()
+        return average(numer[:, 0], counts[:, 0])
 
     def _loo_new_stats(self, X_new: np.ndarray):
         X_new = np.asarray(X_new, dtype=float)
@@ -143,14 +136,18 @@ class Ensemble:
             )
         if not np.isfinite(X_new).all():
             raise DimensionMismatch("new points contain non-finite entries")
-        T, d = X_new.shape[0], self.pred_dim
-        preds = np.empty((self.K, T, d), dtype=float)
-        for k, (patch, model) in enumerate(zip(self.patches, self.models)):
-            preds[k] = model.predict_batch(X_new[:, patch.features])
-        excl = (~self.obs_mask).astype(float)
-        counts = excl.sum(axis=0)
-        numer = np.einsum("kn,ktd->ntd", excl, preds)
-        return numer, counts
+        (K, N, d), T = self.cache.shape, X_new.shape[0]
+        numer = np.zeros((N, T * d))
+        counts = np.zeros(N)
+        step = max(1, _BLOCK_BYTES // (8 * max(T * d, 1)))
+        for lo in range(0, K, step):
+            excl = (~self.obs_mask[lo:lo + step]).astype(float)
+            preds = [model.predict_batch(X_new[:, patch.features]).ravel()
+                     for patch, model in zip(self.patches[lo:lo + step],
+                                             self.models[lo:lo + step])]
+            numer += excl.T @ np.stack(preds)
+            counts += excl.sum(axis=0)
+        return numer.reshape(N, T, d), counts
 
     def loo_new_all(self, X_new: np.ndarray) -> np.ndarray:
         """Per-row LOO predictions at new points, shape (N, T, d).
@@ -158,41 +155,38 @@ class Ensemble:
         Entry [i, t] averages models whose patch excludes row i,
         evaluated at X_new[t] restricted to each patch's features.
         """
-        numer, counts = self._loo_new_stats(X_new)
-        bad = np.nonzero(counts == 0)[0]
-        if bad.size:
-            raise CoverageFailure(int(bad[0]))
-        return numer / counts[:, None, None]
+        return average(*self._loo_new_stats(X_new))
 
     # -- single-index queries -------------------------------------------
 
     def loo_prediction(self, i: int) -> np.ndarray:
-        self._check_row(i)
-        numer, counts = self._loo_stats()
-        if counts[i] == 0:
-            raise CoverageFailure(i)
-        return numer[i] / counts[i]
+        numer, counts = self.leave_out_sums()
+        return self._at_row(i, numer[:, 0], counts[:, 0])
 
     def loo_loco_prediction(self, i: int, j: int) -> np.ndarray:
-        self._check_row(i)
-        numer, counts = self._loco_stats(j)
+        numer, counts = self.leave_out_sums([j])
+        return self._at_row(i, numer[:, 1], counts[:, 1], j)
+
+    def loo_prediction_new(self, i: int, x_new) -> np.ndarray:
+        # a 1-D x_new becomes one row; any other shape fails the 2-D check
+        numer, counts = self._loo_new_stats(np.asarray(x_new, dtype=float)[None])
+        return self._at_row(i, numer[:, 0], counts)
+
+    def _at_row(self, i: int, numer, counts, j: int | None = None) -> np.ndarray:
+        if not 0 <= i < self.dataset.n_rows:
+            raise DimensionMismatch(f"row index {i} out of range")
         if counts[i] == 0:
             raise CoverageFailure(i, j)
         return numer[i] / counts[i]
 
-    def loo_prediction_new(self, i: int, x_new) -> np.ndarray:
-        self._check_row(i)
-        x_new = np.asarray(x_new, dtype=float)
-        if x_new.ndim != 1:
-            raise DimensionMismatch("x_new must be a 1-D vector")
-        numer, counts = self._loo_new_stats(x_new[None, :])
-        if counts[i] == 0:
-            raise CoverageFailure(i)
-        return numer[i, 0] / counts[i]
 
-    def _check_row(self, i: int) -> None:
-        if not 0 <= i < self.dataset.n_rows:
-            raise DimensionMismatch(f"row index {i} out of range")
+def average(numer: np.ndarray, counts: np.ndarray, j: int | None = None) -> np.ndarray:
+    """Leave-out averages numer / counts over rows (the leading axis);
+    raises CoverageFailure on the first row with no qualifying patch."""
+    bad = np.nonzero(counts == 0)[0]
+    if bad.size:
+        raise CoverageFailure(int(bad[0]), j)
+    return numer / counts.reshape(-1, *[1] * (numer.ndim - 1))
 
 
 def _fit_range(dataset: Dataset, learner, patches, cache, models, lo, hi):
@@ -273,9 +267,10 @@ def train_ensemble(dataset: Dataset, config: MPConfig, threads: int = 1,
 
 
 # -- snapshot --------------------------------------------------------------
-# Layout (version 1, not stable across package versions): one .npz holding
+# Layout (version 2, not stable across package versions): one .npz holding
 # the dataset arrays, patch index matrices, masks, cache, a JSON header
-# with the config echo, and per-model parameter payloads.
+# with the config echo, the learner's name and parameters, and per-model
+# parameter payloads.
 
 
 def _model_to_obj(model: FittedModel):
@@ -317,12 +312,13 @@ def _model_from_obj(obj) -> FittedModel:
 
 def save_ensemble(ens: Ensemble, path) -> None:
     header = {
-        "version": 1,
+        "version": 2,
         "task": ens.dataset.task.value,
         "n_classes": ens.dataset.n_classes,
         "feature_names": list(ens.dataset.feature_names or []),
         "label_names": list(ens.dataset.label_names or []),
         "config": ens.config.settings_dict(),
+        "learner": learner_to_obj(ens.config.learner),
         "models": [_model_to_obj(m) for m in ens.models],
     }
     rows = np.stack([p.rows for p in ens.patches])
@@ -337,7 +333,7 @@ def save_ensemble(ens: Ensemble, path) -> None:
 def load_ensemble(path) -> Ensemble:
     with np.load(path) as zf:
         header = json.loads(bytes(zf["header"]).decode("utf8"))
-        if header.get("version") != 1:
+        if header.get("version") != 2:
             raise InvalidSpec(f"unsupported snapshot version {header.get('version')}")
         task = Task(header["task"])
         dataset = Dataset(
@@ -349,7 +345,8 @@ def load_ensemble(path) -> Ensemble:
         config = MPConfig(n=cfg_echo["n"], m=cfg_echo["m"], K=cfg_echo["K"],
                           seed=cfg_echo["seed"], alpha=cfg_echo["alpha"],
                           buffer_c=cfg_echo["buffer_c"],
-                          use_buffer=cfg_echo["use_buffer"])
+                          use_buffer=cfg_echo["use_buffer"],
+                          learner=learner_from_obj(header["learner"]))
         patches = [Minipatch(rows=r, features=f)
                    for r, f in zip(zf["rows"], zf["feats"])]
         models = [_model_from_obj(o) for o in header["models"]]

@@ -13,7 +13,7 @@ code paths are required to leave it untouched.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -25,6 +25,7 @@ __all__ = [
     "FIT_CALLS", "FittedModel", "LinearModel", "TreeModel", "ConstantModel",
     "fit_least_squares", "fit_decision_tree", "fit_constant_mean", "predict",
     "RidgeLearner", "TreeLearner", "ConstantLearner", "learner_from_name",
+    "learner_to_obj", "learner_from_obj",
 ]
 
 
@@ -342,3 +343,25 @@ def learner_from_name(name: str, ridge_lambda: float = 0.0001,
     if name == "constant":
         return ConstantLearner()
     raise InvalidSpec(f"unknown learner {name!r}")
+
+
+_LEARNERS = {cls.__name__: cls for cls in (RidgeLearner, TreeLearner, ConstantLearner)}
+
+
+def learner_to_obj(learner) -> dict | None:
+    """JSON form (class name and parameters) of a shipped learner; None
+    stands for the default learner and stays None."""
+    if learner is None:
+        return None
+    if _LEARNERS.get(type(learner).__name__) is not type(learner):
+        raise TypeError(f"cannot snapshot learner type {type(learner).__name__}")
+    return {"name": type(learner).__name__, "params": asdict(learner)}
+
+
+def learner_from_obj(obj):
+    """Inverse of :func:`learner_to_obj`."""
+    if obj is None:
+        return None
+    if obj["name"] not in _LEARNERS:
+        raise InvalidSpec(f"unknown learner {obj['name']!r}")
+    return _LEARNERS[obj["name"]](**obj["params"])

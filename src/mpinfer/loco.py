@@ -27,7 +27,7 @@ from .core import (
     CoverageFailure, Dataset, DegenerateDenominator, DimensionMismatch,
     InvalidSize, Task, TooFewRows,
 )
-from .ensemble import Ensemble
+from .ensemble import Ensemble, average
 from .normal import norm_ppf, norm_sf
 from .rng import generator, spawn_seed
 
@@ -93,16 +93,32 @@ def _error_vector(task: Task, Y: np.ndarray, preds: np.ndarray) -> np.ndarray:
     return 1.0 - preds[np.arange(Y.shape[0]), Y.astype(np.int64)]
 
 
+def _occlusion_results(ens: Ensemble, features) -> list:
+    """Occlusion scores of each listed feature from one LOCO pass; a
+    feature without full coverage gets its CoverageFailure instead."""
+    ds = ens.dataset
+    numer, counts = ens.leave_out_sums(features)
+    out = []
+    for col, j in enumerate(features, start=1):
+        try:
+            loo = average(numer[:, 0], counts[:, 0])
+            loco = average(numer[:, col], counts[:, col], j)
+        except CoverageFailure as exc:
+            out.append(exc)
+            continue
+        scores = _error_vector(ds.task, ds.Y, loco) - _error_vector(ds.task, ds.Y, loo)
+        out.append(OcclusionResult(j=j, scores=scores, mean=float(scores.mean()),
+                                   sd=float(scores.std(ddof=1)),
+                                   n_obs=scores.shape[0]))
+    return out
+
+
 def occlusion_scores(ens: Ensemble, j: int) -> OcclusionResult:
     """Score every row: error with feature j occluded minus error with it."""
-    ds = ens.dataset
-    loo = ens.loo_all()
-    loco = ens.loo_loco_all(j)
-    scores = _error_vector(ds.task, ds.Y, loco) - _error_vector(ds.task, ds.Y, loo)
-    mean = float(scores.mean())
-    sd = float(scores.std(ddof=1)) if scores.shape[0] > 1 else 0.0
-    return OcclusionResult(j=j, scores=scores, mean=mean, sd=sd,
-                           n_obs=scores.shape[0])
+    res = _occlusion_results(ens, [j])[0]
+    if isinstance(res, CoverageFailure):
+        raise res
+    return res
 
 
 def _t_and_p(mean: float, denom: float):
@@ -142,29 +158,38 @@ def buffered_interval(res: OcclusionResult, alpha: float, epsilon_n: float,
 def estimate_B(ens: Ensemble, pairs_per_sample: int = 10, seed: int = 0) -> float:
     """Estimate the prediction-difference bound from cached predictions.
 
-    For each row, sample pairs of distinct patches that exclude it and
-    average the Euclidean gap between the two cached predictions at the
+    For each row, sample uniform pairs of distinct patches that exclude it
+    and average the Euclidean gap between the two cached predictions at the
     row; the estimate averages those per-row means.
     """
     if pairs_per_sample < 1:
         raise InvalidSize("pairs_per_sample must be >= 1")
-    excl = ~ens.obs_mask        # (K, N)
-    counts = excl.sum(axis=0)
+    K, N = ens.obs_mask.shape
+    flat = np.flatnonzero(ens.obs_mask)                 # k * N + i
+    held = np.sort(flat % N * K + flat // N)            # i * K + k, by row
+    starts = np.searchsorted(held, np.arange(N) * K)
+    counts = K - np.diff(starts, append=held.size)      # patches excluding i
     short = np.nonzero(counts < 2)[0]
     if short.size:
         raise CoverageFailure(int(short[0]))
+    # With s_0 < s_1 < ... the patches holding row i, the (r+1)-th patch
+    # excluding it is r + #{j : s_j - j <= r}; keys hold i * (K+1) + s_j - j.
+    rows = held // K
+    keys = held + rows - np.arange(held.size) + starts[rows]
+    base = np.arange(N)[:, None] * (K + 1)
+
+    def excluding(ranks):
+        return ranks + np.searchsorted(keys, base + ranks, side="right") - starts[:, None]
+
     gen = generator(seed, "pair-gaps")
-    N = ens.dataset.n_rows
-    row_means = np.empty(N, dtype=float)
-    for i in range(N):
-        qualifying = np.nonzero(excl[:, i])[0]
-        gaps = np.empty(pairs_per_sample, dtype=float)
-        for p in range(pairs_per_sample):
-            k1, k2 = gen.choice(qualifying.shape[0], size=2, replace=False)
-            diff = ens.cache[qualifying[k1], i] - ens.cache[qualifying[k2], i]
-            gaps[p] = math.sqrt(float(diff @ diff))
-        row_means[i] = gaps.mean()
-    return float(row_means.mean())
+    size = (N, pairs_per_sample)
+    first = gen.integers(0, counts[:, None], size=size)
+    second = gen.integers(0, counts[:, None] - 1, size=size)
+    second += second >= first
+    i = np.arange(N)[:, None]
+    diff = ens.cache[excluding(first), i] - ens.cache[excluding(second), i]
+    gaps = np.sqrt((diff * diff).sum(axis=2))               # (N, pairs)
+    return float(gaps.mean(axis=1).mean())
 
 
 def variance_barrier(b_hat: float, n: int, N: int, L: float = 1.0,
@@ -181,13 +206,10 @@ def test_feature(res: OcclusionResult, alpha: float, epsilon_n: float) -> TestRe
     T = mean / (sd / sqrt(N) + epsilon_n); reject iff T >= z_alpha,
     equivalently p = 1 - Phi(T) <= alpha.
     """
-    denom = res.sd / math.sqrt(res.n_obs) + epsilon_n
-    if denom <= 0.0:
+    t, p = _t_and_p(res.mean, res.sd / math.sqrt(res.n_obs) + epsilon_n)
+    if t is None:
         raise DegenerateDenominator("score sd and barrier are both zero")
-    t = res.mean / denom
-    p = float(norm_sf(t))
-    return TestResult(t_stat=float(t), p_value=p,
-                      reject=bool(t >= norm_ppf(1.0 - alpha)))
+    return TestResult(t_stat=t, p_value=p, reject=bool(t >= norm_ppf(1.0 - alpha)))
 
 
 @dataclass(frozen=True)
@@ -202,6 +224,16 @@ class InferenceReport:
     epsilon_n: float
     settings: dict
     feature_names: tuple[str, ...] | None = None
+
+
+def _barrier(ens: Ensemble, pairs_per_sample: int = 10) -> tuple[float, float]:
+    """(B-hat, epsilon_N) under the config's buffer settings and seed."""
+    cfg = ens.config
+    if not cfg.use_buffer:
+        return 0.0, 0.0
+    b_hat = estimate_B(ens, pairs_per_sample=pairs_per_sample,
+                       seed=spawn_seed(cfg.seed, "estimate-b"))
+    return b_hat, variance_barrier(b_hat, cfg.n, ens.dataset.n_rows, c=cfg.buffer_c)
 
 
 def infer_all(ens: Ensemble, alpha: float | None = None,
@@ -219,22 +251,14 @@ def infer_all(ens: Ensemble, alpha: float | None = None,
         alpha = cfg.alpha
     M = ds.n_features
     level = alpha / M if bonferroni else alpha
-
-    if cfg.use_buffer:
-        b_hat = estimate_B(ens, pairs_per_sample=pairs_per_sample,
-                           seed=spawn_seed(cfg.seed, "estimate-b"))
-        eps = variance_barrier(b_hat, cfg.n, ds.n_rows, c=cfg.buffer_c)
-    else:
-        b_hat, eps = 0.0, 0.0
+    b_hat, eps = _barrier(ens, pairs_per_sample)
 
     intervals: list[FeatureInterval | None] = []
     failures: dict[int, str] = {}
     names = ds.feature_names
-    for j in range(M):
-        try:
-            res = occlusion_scores(ens, j)
-        except CoverageFailure as exc:
-            failures[j] = str(exc)
+    for j, res in enumerate(_occlusion_results(ens, range(M))):
+        if isinstance(res, CoverageFailure):
+            failures[j] = str(res)
             intervals.append(None)
             continue
         iv = buffered_interval(res, level, eps, b_hat=b_hat)
@@ -250,16 +274,10 @@ def infer_all(ens: Ensemble, alpha: float | None = None,
 def infer_feature(ens: Ensemble, j: int, alpha: float | None = None) -> FeatureInterval:
     """Interval and test for a single feature, honouring the config's
     buffer settings; barrier randomness derives from the config seed."""
-    cfg = ens.config
     if alpha is None:
-        alpha = cfg.alpha
-    if cfg.use_buffer:
-        b_hat = estimate_B(ens, seed=spawn_seed(cfg.seed, "estimate-b"))
-        eps = variance_barrier(b_hat, cfg.n, ens.dataset.n_rows, c=cfg.buffer_c)
-    else:
-        b_hat, eps = 0.0, 0.0
-    res = occlusion_scores(ens, j)
-    return buffered_interval(res, alpha, eps, b_hat=b_hat)
+        alpha = ens.config.alpha
+    b_hat, eps = _barrier(ens)
+    return buffered_interval(occlusion_scores(ens, j), alpha, eps, b_hat=b_hat)
 
 
 def loco_split_baseline(dataset: Dataset, j: int, alpha: float, learner,

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from mpinfer.bench import (
@@ -206,6 +207,47 @@ class TestCli:
         for line in lines[1:]:
             labels = line.split(",", 1)[1]
             assert labels == "" or set(labels.split(";")) <= {"0", "1"}
+
+    def test_predict_writes_original_class_labels(self, tmp_path, capsys):
+        # first training label is "no", so internal code 0 is "no", not "0"
+        gen = np.random.default_rng(4)
+        X = gen.standard_normal((80, 3))
+        X[0, 0] = -1.0
+        labels = np.where(X[:, 0] > 0, "yes", "no")
+        data = tmp_path / "train.csv"
+        data.write_text("a,b,c,y\n" + "".join(
+            ",".join(format(v, ".17g") for v in r) + f",{lab}\n"
+            for r, lab in zip(X, labels)))
+        new = tmp_path / "new.csv"
+        new.write_text("c,b,a\n0,0,3\n0,0,-3\n")   # columns in another order
+        out = tmp_path / "sets.csv"
+        rc = main(["predict", "--data", str(data), "--task", "classification",
+                   "--target-col", "y", "--new-data", str(new), "--K", "300",
+                   "--out", str(out)])
+        assert rc == 0
+        sets = [set(line.split(",", 1)[1].split(";"))
+                for line in out.read_text().strip().split("\n")[1:]]
+        assert "yes" in sets[0] and "no" in sets[1]
+        assert all(s <= {"yes", "no"} for s in sets)
+
+    @pytest.mark.parametrize("new_text, needle", [
+        ("x0,x1,x2,target\n1,2,3,4\n1,2\n", "data row 1 has 2 cells"),
+        ("x0,x1,z2,target\n1,2,3,4\n", "no column named 'x2'"),
+        ("", "empty file"),
+    ])
+    def test_bad_new_data_is_data_error(self, tmp_path, capsys, new_text, needle):
+        gen = np.random.default_rng(5)
+        data = tmp_path / "train.csv"
+        data.write_text("x0,x1,x2,target\n" + "".join(
+            ",".join(format(v, ".17g") for v in r) + "\n"
+            for r in gen.standard_normal((30, 4))))
+        new = tmp_path / "new.csv"
+        new.write_text(new_text)
+        rc = main(["predict", "--data", str(data), "--task", "regression",
+                   "--target-col", "target", "--new-data", str(new),
+                   "--K", "50"])
+        assert rc == 3
+        assert needle in capsys.readouterr().err
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:

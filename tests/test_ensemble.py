@@ -184,8 +184,8 @@ class TestAggregation:
 
 class TestSnapshot:
     @pytest.mark.parametrize("learner", [RidgeLearner(lam=0.01),
-                                         TreeLearner(max_depth=3),
-                                         ConstantLearner()])
+                                         TreeLearner(max_depth=3, min_leaf=2),
+                                         ConstantLearner(), None])
     def test_round_trip(self, tmp_path, learner):
         ds = toy_dataset(N=15, M=5, seed=12)
         ens = train_ensemble(ds, MPConfig(n=4, m=2, K=25, seed=8,
@@ -193,6 +193,8 @@ class TestSnapshot:
         path = tmp_path / "snap.npz"
         save_ensemble(ens, path)
         back = load_ensemble(path)
+        assert back.config.learner == learner
+        assert back.config.settings_dict() == ens.config.settings_dict()
         assert np.array_equal(back.cache, ens.cache)
         assert np.array_equal(back.obs_mask, ens.obs_mask)
         assert np.array_equal(back.feat_mask, ens.feat_mask)
