@@ -8,9 +8,9 @@ average over the cache: no model is ever refit after training.
 
 Memory: the cache costs K*N*d doubles (e.g. K=10,000, N=2,000, d=1 is
 160 MB); LOO, LOCO and new-point LOO are each one pass of mask GEMMs over
-blocks of patches.  Training is pure per patch, so worker threads only
-shard the patch index range and output is byte-identical for any thread
-count.
+blocks of patches.  Training fits fixed blocks of patches at a time (ridge
+fits share one batched solve per block) and worker threads take whole
+blocks, so output is byte-identical for any thread count.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .core import (
 )
 from .learners import (
     ConstantModel, FittedModel, LinearModel, RidgeLearner, TreeModel, _Node,
-    learner_from_obj, learner_to_obj,
+    fit_patches, learner_from_obj, learner_to_obj,
 )
 from .rng import generator
 
@@ -41,6 +41,8 @@ _PATCH_STREAM = "minipatches"
 # Size of one float scratch buffer in the blocked contractions: big enough
 # for BLAS-sized GEMMs, small enough that the cache sets peak memory.
 _BLOCK_BYTES = 4 << 20
+# Size of the stacked patch designs in one batched fit.
+_FIT_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -189,15 +191,15 @@ def average(numer: np.ndarray, counts: np.ndarray, j: int | None = None) -> np.n
     return numer / counts.reshape(-1, *[1] * (numer.ndim - 1))
 
 
-def _fit_range(dataset: Dataset, learner, patches, cache, models, lo, hi):
+def _fit_blocks(dataset: Dataset, learner, patches, cache, models, blocks):
     X, Y = dataset.X, dataset.Y
-    task, d = dataset.task, dataset.pred_dim
-    for k in range(lo, hi):
-        patch = patches[k]
-        model = learner.fit(X[patch.rows][:, patch.features], Y[patch.rows],
-                            task, dataset.n_classes)
-        models[k] = model
-        cache[k] = model.predict_batch(X[:, patch.features])
+    for lo, hi in blocks:
+        models[lo:hi] = fit_patches(
+            learner, X, Y, np.stack([p.rows for p in patches[lo:hi]]),
+            np.stack([p.features for p in patches[lo:hi]]),
+            dataset.task, dataset.n_classes)
+        for k in range(lo, hi):
+            cache[k] = models[k].predict_batch(X[:, patches[k].features])
 
 
 def train_ensemble(dataset: Dataset, config: MPConfig, threads: int = 1,
@@ -206,9 +208,10 @@ def train_ensemble(dataset: Dataset, config: MPConfig, threads: int = 1,
     """Fit one model per minipatch and cache its predictions everywhere.
 
     The patch list is generated serially from the seed before any
-    parallel work, and each fit is pure, so the result is byte-identical
-    for any ``threads``.  ``patches`` overrides the random draw (used by
-    the exhaustive-enumeration checks).  With ``check_coverage`` every
+    parallel work, and patches are fitted in fixed blocks that threads
+    take whole, so the result is byte-identical for any ``threads``.
+    ``patches`` overrides the random draw (used by the
+    exhaustive-enumeration checks).  With ``check_coverage`` every
     row must be excluded by some patch and every (row, feature) pair
     jointly excluded by some patch, otherwise :class:`CoverageFailure`
     is raised at once instead of surfacing on a later query.
@@ -249,15 +252,18 @@ def train_ensemble(dataset: Dataset, config: MPConfig, threads: int = 1,
     cache = np.empty((K, N, d), dtype=float)
     models: list[FittedModel | None] = [None] * K
 
+    # Fits are batched over fixed blocks of patches, so the blocks, not
+    # the thread count, decide which patches are fitted together.
+    step = max(1, _FIT_BLOCK_BYTES // (8 * config.n * (config.m + d)))
+    blocks = [(lo, min(lo + step, K)) for lo in range(0, K, step)]
     threads = max(1, int(threads))
-    if threads == 1 or K < 2 * threads:
-        _fit_range(dataset, learner, patches, cache, models, 0, K)
+    if threads == 1 or len(blocks) < 2:
+        _fit_blocks(dataset, learner, patches, cache, models, blocks)
     else:
-        bounds = np.linspace(0, K, threads + 1).astype(int)
         with ThreadPoolExecutor(max_workers=threads) as pool:
             futures = [
-                pool.submit(_fit_range, dataset, learner, patches, cache,
-                            models, int(bounds[t]), int(bounds[t + 1]))
+                pool.submit(_fit_blocks, dataset, learner, patches, cache,
+                            models, blocks[t::threads])
                 for t in range(threads)
             ]
             for fut in futures:

@@ -23,7 +23,8 @@ from .core import (
 
 __all__ = [
     "FIT_CALLS", "FittedModel", "LinearModel", "TreeModel", "ConstantModel",
-    "fit_least_squares", "fit_decision_tree", "fit_constant_mean", "predict",
+    "fit_least_squares", "fit_decision_tree", "fit_constant_mean", "fit_patches",
+    "predict",
     "RidgeLearner", "TreeLearner", "ConstantLearner", "learner_from_name",
     "learner_to_obj", "learner_from_obj",
 ]
@@ -36,9 +37,9 @@ class _FitCounter:
         self._lock = threading.Lock()
         self._count = 0
 
-    def bump(self) -> None:
+    def bump(self, fits: int = 1) -> None:
         with self._lock:
-            self._count += 1
+            self._count += fits
 
     def value(self) -> int:
         with self._lock:
@@ -175,32 +176,54 @@ def fit_least_squares(X_sub, Y_sub, lam: float = 0.0,
     classification the targets are one-vs-all class indicators and the
     fitted scores are passed through softmax at prediction time.
     """
-    FIT_CALLS.bump()
     X = np.asarray(X_sub, dtype=float)
     if X.ndim != 2 or X.shape[0] == 0:
         raise EmptyInput("X_sub must be a non-empty 2-D matrix")
+    y = np.asarray(Y_sub, dtype=float)
+    return _fit_ridge_stack(X[None], y[None], lam, task, n_classes)[0]
+
+
+def _fit_ridge_stack(Xs: np.ndarray, ys: np.ndarray, lam: float, task: Task,
+                     n_classes: int) -> list[LinearModel]:
+    """:func:`fit_least_squares` for a stack of designs Xs (B, n, m) and
+    responses ys (B, n): one batched Cholesky check and one batched solve."""
     if lam < 0:
         raise InvalidSize("lambda must be >= 0")
-    y = np.asarray(Y_sub, dtype=float)
-    targets = y[:, None] if task == Task.REGRESSION else _class_indicators(y, n_classes)
-
-    x_mean = X.mean(axis=0)
-    t_mean = targets.mean(axis=0)
-    Xc = X - x_mean
-    Tc = targets - t_mean
-    gram = Xc.T @ Xc
+    FIT_CALLS.bump(Xs.shape[0])
+    if task == Task.REGRESSION:
+        targets = ys[..., None]
+    else:
+        targets = _class_indicators(ys.ravel(), n_classes).reshape(*ys.shape, -1)
+    x_mean = Xs.mean(axis=1, keepdims=True)
+    t_mean = targets.mean(axis=1, keepdims=True)
+    Xct = (Xs - x_mean).swapaxes(1, 2)
+    gram = Xct @ Xct.swapaxes(1, 2)
     if lam > 0:
-        gram = gram + lam * np.eye(X.shape[1])
+        gram = gram + lam * np.eye(Xs.shape[2])
     try:
-        # Cholesky is the rank check: it fails iff gram is not PD.
+        # Cholesky is the rank check: it fails iff some gram is not PD.
         np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
         raise SingularSystem(
             "normal equations are singular; use lam > 0 or more rows"
         ) from None
-    coef = np.linalg.solve(gram, Xc.T @ Tc)
-    intercept = t_mean - x_mean @ coef
-    return LinearModel(coef=coef, intercept=intercept, task=task)
+    coef = np.linalg.solve(gram, Xct @ (targets - t_mean))
+    intercept = (t_mean - x_mean @ coef)[:, 0]
+    return [LinearModel(coef=c, intercept=b, task=task)
+            for c, b in zip(coef, intercept)]
+
+
+def fit_patches(learner, X: np.ndarray, Y: np.ndarray, rows: np.ndarray,
+                feats: np.ndarray, task: Task, n_classes: int) -> list[FittedModel]:
+    """``learner.fit`` on each submatrix X[rows[b]][:, feats[b]] of a stack
+    of patches (rows (B, n), feats (B, m)); ridge fits share one batched
+    solve instead of B separate ones."""
+    if type(learner) is RidgeLearner:
+        return _fit_ridge_stack(X[rows[:, :, None], feats[:, None, :]],
+                                np.asarray(Y[rows], dtype=float), learner.lam,
+                                task, n_classes)
+    return [learner.fit(X[r][:, f], Y[r], task, n_classes)
+            for r, f in zip(rows, feats)]
 
 
 def fit_constant_mean(X_sub, Y_sub, task: Task = Task.REGRESSION,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -25,6 +26,7 @@ from .core import (
     NoSampler, Task, TooLarge,
 )
 from .ensemble import Minipatch, sample_minipatches
+from .learners import LinearModel, RidgeLearner, fit_patches
 from .rng import generator, spawn_seed
 
 __all__ = [
@@ -132,6 +134,36 @@ class MCTarget:
         return self.value
 
 
+class _PredictionSums:
+    """Running sums of model predictions at fixed points Z, one per slot.
+
+    Affine regression models add up in parameter space: each scatters its
+    coefficients into the slots' (M, d) weights and the points meet the
+    summed weights in one product at the end.  Any other model adds its
+    predictions directly, once per call whatever the number of slots.
+    """
+
+    def __init__(self, Z: np.ndarray, d: int, slots: int):
+        self.Z = Z
+        self.coef = np.zeros((slots, Z.shape[1], d))
+        self.intercept = np.zeros((slots, 1, d))
+        self.direct = np.zeros((slots, Z.shape[0], d))
+
+    def add(self, model, feats, slots) -> None:
+        if isinstance(model, LinearModel) and model.task == Task.REGRESSION:
+            for s in slots:
+                self.coef[s, feats] += model.coef
+                self.intercept[s] += model.intercept
+        else:
+            pred = model.predict_batch(self.Z[:, feats])
+            for s in slots:
+                self.direct[s] += pred
+
+    def totals(self) -> np.ndarray:
+        """Summed predictions, shape (slots, T, d)."""
+        return self.direct + (self.Z @ self.coef + self.intercept)
+
+
 def _squared_error_vector(Y, preds):
     return (Y - preds[:, 0]) ** 2
 
@@ -154,7 +186,6 @@ def monte_carlo_target(train: Dataset, config: MPConfig, j: int, sampler,
     """
     if sampler is None:
         raise NoSampler("monte_carlo_target needs a fresh-data sampler")
-    from .learners import RidgeLearner
 
     config = config.resolve(train.n_rows, train.n_features)
     if not 0 <= j < train.n_features:
@@ -172,26 +203,29 @@ def monte_carlo_target(train: Dataset, config: MPConfig, j: int, sampler,
     Z, Y = test.X, test.Y
 
     K = len(patches)
-    d = train.pred_dim
     blocks = min(10, K)
-    sum_all = np.zeros((blocks, n_test, d))
-    sum_noj = np.zeros((blocks, n_test, d))
-    block_k = np.zeros(blocks)
-    X, Yt = train.X, train.Y
-    for k, patch in enumerate(patches):
-        b = k * blocks // K
-        block_k[b] += 1
-        model = learner.fit(X[patch.rows][:, patch.features], Yt[patch.rows],
-                            train.task, train.n_classes)
-        pred = model.predict_batch(Z[:, patch.features])
-        sum_all[b] += pred
-        if j in patch.features:
-            feats = np.sort(resample.choice(others, size=config.m, replace=False))
-            occluded = learner.fit(X[patch.rows][:, feats], Yt[patch.rows],
-                                   train.task, train.n_classes)
-            sum_noj[b] += occluded.predict_batch(Z[:, feats])
-        else:
-            sum_noj[b] += pred
+    # slot b sums the full predictor over block b of the patches, slot
+    # blocks + b the occluded one
+    sums = _PredictionSums(Z, train.pred_dim, 2 * blocks)
+    block_of = np.arange(K) * blocks // K
+    block_k = np.bincount(block_of, minlength=blocks).astype(float)
+    rows = np.stack([p.rows for p in patches])
+    feats = np.stack([p.features for p in patches])
+    fit = partial(fit_patches, learner, train.X, train.Y,
+                  task=train.task, n_classes=train.n_classes)
+    for b in range(blocks):
+        ks = np.nonzero(block_of == b)[0]
+        holds = (feats[ks] == j).any(axis=1)
+        occ = [np.sort(resample.choice(others, size=config.m, replace=False))
+               for _ in range(int(holds.sum()))]
+        occluded = zip(fit(rows[ks[holds]], np.stack(occ)) if occ else [], occ)
+        for model, f, h in zip(fit(rows[ks], feats[ks]), feats[ks], holds):
+            if h:
+                sums.add(model, f, [b])
+                sums.add(*next(occluded), [blocks + b])
+            else:
+                sums.add(model, f, [b, blocks + b])
+    sum_all, sum_noj = np.split(sums.totals(), 2)
 
     mu_full = sum_all.sum(axis=0) / K
     mu_noj = sum_noj.sum(axis=0) / K
@@ -249,14 +283,10 @@ def ensemble_conditional_target(ens, j: int, sampler, n_test: int = 10_000,
 
     test = sampler(n_test, spawn_seed(seed, "testdata"))
     Z, Y = test.X, test.Y
-    d = train.pred_dim
-    sum_all = np.zeros((n_test, d))
-    sum_noj = np.zeros((n_test, d))
+    sums = _PredictionSums(Z, train.pred_dim, 2)
     for k, (patch, model) in enumerate(zip(ens.patches, ens.models)):
-        pred = model.predict_batch(Z[:, patch.features])
-        sum_all += pred
-        if keep[k]:
-            sum_noj += pred
+        sums.add(model, patch.features, [0, 1] if keep[k] else [0])
+    sum_all, sum_noj = sums.totals()
     mu_full = sum_all / len(ens.patches)
     mu_noj = sum_noj / int(keep.sum())
 

@@ -4,6 +4,7 @@ import pytest
 from mpinfer.core import (
     CoverageFailure, Dataset, InvalidSize, MPConfig, Task,
 )
+from mpinfer import ensemble
 from mpinfer.ensemble import (
     Minipatch, load_ensemble, sample_minipatches, save_ensemble,
     train_ensemble,
@@ -83,6 +84,17 @@ class TestTraining:
         for other in runs[1:]:
             assert base.cache.tobytes() == other.cache.tobytes()
             assert base.obs_mask.tobytes() == other.obs_mask.tobytes()
+
+    def test_ridge_thread_count_determinism(self, monkeypatch):
+        # small fit blocks, so the threads split the patches between them
+        monkeypatch.setattr(ensemble, "_FIT_BLOCK_BYTES", 2000)
+        for task in (Task.REGRESSION, Task.CLASSIFICATION):
+            ds = toy_dataset(N=40, M=8, seed=3, task=task)
+            runs = [train_ensemble(ds, MPConfig(n=6, m=3, K=120, seed=21,
+                                                learner=RidgeLearner()),
+                                   threads=t) for t in (1, 3, 8)]
+            for other in runs[1:]:
+                assert runs[0].cache.tobytes() == other.cache.tobytes()
 
     def test_coverage_failure_at_build(self):
         X = np.array([[0.0, 1.0], [1.0, 0.0]])

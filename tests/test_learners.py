@@ -4,7 +4,8 @@ import pytest
 from mpinfer.core import Task, DimensionMismatch, SingularSystem
 from mpinfer.learners import (
     FIT_CALLS, ConstantLearner, RidgeLearner, TreeLearner,
-    fit_constant_mean, fit_decision_tree, fit_least_squares, predict,
+    fit_constant_mean, fit_decision_tree, fit_least_squares, fit_patches,
+    predict,
 )
 from mpinfer.rng import generator, standard_normal, uniform_open
 
@@ -148,3 +149,34 @@ def test_fit_counter_counts_every_fit():
     TreeLearner().fit(X, y, Task.REGRESSION, 1)
     ConstantLearner().fit(X, y, Task.REGRESSION, 1)
     assert FIT_CALLS.value() == before + 3
+
+
+@pytest.mark.parametrize("task", [Task.REGRESSION, Task.CLASSIFICATION])
+def test_batched_ridge_fits_match_single_fits(task):
+    gen = generator(6, "fit-patches", task.value)
+    X = standard_normal(gen, (30, 6))
+    Y = ((X[:, 0] > 0).astype(float) + (X[:, 1] > 0.5)
+         if task == Task.CLASSIFICATION else standard_normal(gen, 30))
+    n_classes = 3 if task == Task.CLASSIFICATION else 1
+    rows = np.stack([np.sort(gen.choice(30, 9, replace=False)) for _ in range(7)])
+    feats = np.stack([np.sort(gen.choice(6, 3, replace=False)) for _ in range(7)])
+    learner = RidgeLearner(lam=0.001)
+    before = FIT_CALLS.value()
+    models = fit_patches(learner, X, Y, rows, feats, task, n_classes)
+    assert FIT_CALLS.value() == before + 7
+    for model, r, f in zip(models, rows, feats):
+        one = learner.fit(X[r][:, f], Y[r], task, n_classes)
+        assert np.max(np.abs(model.coef - one.coef)) < 1e-12
+        assert np.max(np.abs(model.intercept - one.intercept)) < 1e-12
+
+
+def test_batched_ridge_fit_rejects_any_singular_patch():
+    X = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 3.0],
+                  [1.0, 2.0], [1.0, 2.0], [1.0, 2.0]])   # rows 3-5 equal
+    rows = np.array([[0, 1, 2], [3, 4, 5]])
+    feats = np.array([[0, 1], [0, 1]])
+    fit_patches(RidgeLearner(lam=0.0), X, np.arange(6.0), rows[:1], feats[:1],
+                Task.REGRESSION, 1)
+    with pytest.raises(SingularSystem):
+        fit_patches(RidgeLearner(lam=0.0), X, np.arange(6.0), rows, feats,
+                    Task.REGRESSION, 1)

@@ -10,7 +10,7 @@ from mpinfer.oracle import (
     LinearTargetParams, brute_force_predictor, correlated_closed_form_limits,
     ensemble_conditional_target, linear_closed_form_target, monte_carlo_target,
 )
-from mpinfer.rng import generator, standard_normal
+from mpinfer.rng import generator, spawn_seed, standard_normal
 from mpinfer.simgen import SimSpec, generate, sampler
 
 
@@ -207,6 +207,24 @@ class TestConditionalTarget:
         again = ensemble_conditional_target(ens, 0, sampler(spec), n_test=2000,
                                             seed=4)
         assert mc.value == again.value
+
+
+    def test_matches_plain_average_of_model_predictions(self):
+        # ridge predictions are summed in parameter space; the plain
+        # per-model average must agree
+        spec = SimSpec(model="linear", task="regression", N=60, M=10,
+                       snr=3.0, seed=2)
+        ens = train_ensemble(generate(spec), MPConfig(K=200, seed=5,
+                                                      learner=RidgeLearner()))
+        mc = ensemble_conditional_target(ens, 0, sampler(spec), n_test=300,
+                                         seed=6)
+        test = sampler(spec)(300, spawn_seed(6, "testdata"))
+        preds = np.stack([model.predict_batch(test.X[:, patch.features])[:, 0]
+                          for patch, model in zip(ens.patches, ens.models)])
+        keep = ~ens.feat_mask[:, 0]
+        diffs = (np.abs(test.Y - preds[keep].mean(axis=0))
+                 - np.abs(test.Y - preds.mean(axis=0)))
+        assert abs(mc.value - diffs.mean()) < 1e-12
 
 
 class TestRandomEnsembleConvergence:
