@@ -25,6 +25,7 @@ from .conformal import (
 )
 from .core import Dataset, InvalidSpec, MPConfig, Task
 from .ensemble import train_ensemble
+from .learners import RidgeLearner
 from .loco import infer_all, infer_feature, loco_split_baseline
 from .oracle import ensemble_conditional_target, monte_carlo_target
 from .rng import spawn_seed
@@ -122,14 +123,10 @@ def summarize_rows(experiment: str, rows: list) -> dict:
         for snr in grid:
             cell = [r for r in rows if r["snr"] == snr]
             power[repr(snr)] = float(np.mean([r["reject"] for r in cell]))
-            if cell and cell[0].get("split_reject") is not None:
-                split_power[repr(snr)] = float(
-                    np.mean([r["split_reject"] for r in cell]))
-        metrics = {"replicates_per_cell": len(rows) // max(1, len(grid)),
-                   "power": power}
-        if split_power:
-            metrics["split_power"] = split_power
-        return metrics
+            split_power[repr(snr)] = float(
+                np.mean([r["split_reject"] for r in cell]))
+        return {"replicates_per_cell": len(rows) // max(1, len(grid)),
+                "power": power, "split_power": split_power}
     if experiment == "selection":
         keys = ("f1", "tpr", "fpr", "tnr", "fnr")
         return {"replicates": len(rows),
@@ -221,10 +218,9 @@ def run_width(spec: SimSpec, config: MPConfig, j: int, n_grid: list[int],
 
 
 def run_power(spec: SimSpec, config: MPConfig, j: int, snr_grid: list[float],
-              replicates: int, seed: int, threads: int = 1,
-              baseline: bool = True) -> BenchReport:
+              replicates: int, seed: int, threads: int = 1) -> BenchReport:
     """Rejection rate for feature j across signal magnitudes, with the
-    split-sample baseline alongside when requested."""
+    split-sample baseline alongside."""
     if not snr_grid:
         raise InvalidSpec("empty SNR grid")
     cells = [(float(snr), rep) for snr in snr_grid for rep in range(replicates)]
@@ -242,22 +238,17 @@ def run_power(spec: SimSpec, config: MPConfig, j: int, snr_grid: list[float],
             "p": _finite(iv.p_value) if iv.p_value is not None else None,
             "reject": bool(iv.reject),
         }
-        if baseline:
-            from .learners import RidgeLearner
-            learner = cfg.learner if cfg.learner is not None else RidgeLearner()
-            base = loco_split_baseline(data, j, cfg.alpha, learner,
-                                       split_seed=spawn_seed(rep_seed, "split"))
-            row["split_p"] = _finite(base.p_value) if base.p_value is not None else None
-            row["split_reject"] = bool(base.reject)
-        else:
-            row["split_p"] = None
-            row["split_reject"] = None
+        learner = cfg.learner if cfg.learner is not None else RidgeLearner()
+        base = loco_split_baseline(data, j, cfg.alpha, learner,
+                                   split_seed=spawn_seed(rep_seed, "split"))
+        row["split_p"] = _finite(base.p_value) if base.p_value is not None else None
+        row["split_reject"] = bool(base.reject)
         return row
 
     rows = _map_indexed(one, len(cells), threads)
     settings = _settings(spec, config, j=j, replicates=replicates,
                          snr_grid=[float(s) for s in snr_grid],
-                         baseline=baseline)
+                         baseline=True)
     return BenchReport("power", seed, settings,
                        summarize_rows("power", rows), tuple(rows))
 

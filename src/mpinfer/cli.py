@@ -22,8 +22,9 @@ import numpy as np
 from . import bench as bench_mod
 from .conformal import loo_residuals, predict_intervals_batch, predict_sets_batch
 from .core import (
-    CoverageFailure, Dataset, DimensionMismatch, MissingColumn, MPConfig,
-    MPInferError, Task, TooFewRows, _parse_cell, load_dataset, save_dataset,
+    CoverageFailure, Dataset, DimensionMismatch, InvalidSpec, MissingColumn,
+    MPConfig, MPInferError, Task, TooFewRows, _parse_cell, load_dataset,
+    save_dataset,
 )
 from .ensemble import train_ensemble
 from .learners import learner_from_name
@@ -40,7 +41,7 @@ EXIT_INTERNAL = 5
 _DATA_ERRORS = (
     "MissingColumn", "NonNumericCell", "TooFewRows", "NonFiniteValue",
     "ZeroVarianceFeature", "InvalidClassIndex", "DimensionMismatch",
-    "InvalidSize", "InvalidSpec",
+    "InvalidSize", "InvalidSpec", "SingularSystem",
 )
 
 
@@ -185,7 +186,7 @@ def _cmd_predict(args) -> int:
 def _cmd_oracle(args) -> int:
     spec = _spec_from(args)
     if spec.model == SimModel.NONLINEAR or spec.task != Task.REGRESSION:
-        raise MPInferError(
+        raise InvalidSpec(
             "closed-form targets exist for the linear regression models only")
     train = generate(spec)
     config = _config_from(args)

@@ -7,10 +7,12 @@ Every leave-one-out / leave-one-covariate-out query is then a masked
 average over the cache: no model is ever refit after training.
 
 Memory: the cache costs K*N*d doubles (e.g. K=10,000, N=2,000, d=1 is
-160 MB); LOO, LOCO and new-point LOO are each one pass of mask GEMMs over
-blocks of patches.  Training fits fixed blocks of patches at a time (ridge
-fits share one batched solve per block) and worker threads take whole
-blocks, so output is byte-identical for any thread count.
+160 MB); LOO and LOCO are one pass of mask GEMMs over blocks of patches.
+Model predictions at new points, for new-point LOO and for the oracles'
+targets, all go through one blocked masked sum, :func:`patch_sums`.
+Training fits fixed blocks of patches at a time (ridge fits share one
+batched solve per block) and worker threads take whole blocks, so output
+is byte-identical for any thread count.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .rng import generator
 
 __all__ = [
     "Minipatch", "Ensemble", "sample_minipatches", "train_ensemble",
-    "save_ensemble", "load_ensemble",
+    "save_ensemble", "load_ensemble", "patch_sums",
 ]
 
 _PATCH_STREAM = "minipatches"
@@ -138,18 +140,10 @@ class Ensemble:
             )
         if not np.isfinite(X_new).all():
             raise DimensionMismatch("new points contain non-finite entries")
-        (K, N, d), T = self.cache.shape, X_new.shape[0]
-        numer = np.zeros((N, T * d))
-        counts = np.zeros(N)
-        step = max(1, _BLOCK_BYTES // (8 * max(T * d, 1)))
-        for lo in range(0, K, step):
-            excl = (~self.obs_mask[lo:lo + step]).astype(float)
-            preds = [model.predict_batch(X_new[:, patch.features]).ravel()
-                     for patch, model in zip(self.patches[lo:lo + step],
-                                             self.models[lo:lo + step])]
-            numer += excl.T @ np.stack(preds)
-            counts += excl.sum(axis=0)
-        return numer.reshape(N, T, d), counts
+        excl = ~self.obs_mask
+        numer = patch_sums(self.models, [p.features for p in self.patches],
+                           X_new, excl)
+        return numer, excl.sum(axis=0)
 
     def loo_new_all(self, X_new: np.ndarray) -> np.ndarray:
         """Per-row LOO predictions at new points, shape (N, T, d).
@@ -180,6 +174,36 @@ class Ensemble:
         if counts[i] == 0:
             raise CoverageFailure(i, j)
         return numer[i] / counts[i]
+
+
+def patch_sums(models, feats, X: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Weighted sums of patch models at points X (T, M), shape (S, T, d):
+    entry [s] is sum_k W[k, s] * models[k](X[:, feats[k]]).
+
+    One pass over blocks of patches.  Affine regression models (d = 1)
+    are summed as scattered M + 1 coefficient rows (intercept last) that
+    meet X once at the end; any other model adds its stacked predictions.
+    """
+    (T, M), (K, S) = X.shape, W.shape
+    d = models[0].pred_dim
+    affine = all(isinstance(m, LinearModel) and m.task == Task.REGRESSION
+                 for m in models)
+    width = M + 1 if affine else T * d
+    acc = np.zeros((S, width))
+    step = max(1, _BLOCK_BYTES // (8 * max(S, width)))
+    for lo in range(0, K, step):
+        blk = zip(models[lo:lo + step], feats[lo:lo + step])
+        if affine:
+            rows = np.zeros((min(step, K - lo), width))
+            for row, (model, f) in zip(rows, blk):
+                row[f], row[M] = model.coef[:, 0], model.intercept[0]
+        else:
+            rows = np.stack([model.predict_batch(X[:, f]).ravel()
+                             for model, f in blk])
+        acc += W[lo:lo + step].astype(float).T @ rows
+    if affine:
+        return (acc[:, :M] @ X.T + acc[:, M:])[..., None]
+    return acc.reshape(S, T, d)
 
 
 def average(numer: np.ndarray, counts: np.ndarray, j: int | None = None) -> np.ndarray:

@@ -201,13 +201,14 @@ def _fit_ridge_stack(Xs: np.ndarray, ys: np.ndarray, lam: float, task: Task,
     if lam > 0:
         gram = gram + lam * np.eye(Xs.shape[2])
     try:
-        # Cholesky is the rank check: it fails iff some gram is not PD.
+        # Cholesky is the rank check, but rounding can let an exactly
+        # singular gram through it, so the solve is guarded as well.
         np.linalg.cholesky(gram)
+        coef = np.linalg.solve(gram, Xct @ (targets - t_mean))
     except np.linalg.LinAlgError:
         raise SingularSystem(
             "normal equations are singular; use lam > 0 or more rows"
         ) from None
-    coef = np.linalg.solve(gram, Xct @ (targets - t_mean))
     intercept = (t_mean - x_mean @ coef)[:, 0]
     return [LinearModel(coef=c, intercept=b, task=task)
             for c, b in zip(coef, intercept)]

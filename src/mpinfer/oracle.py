@@ -25,8 +25,9 @@ from .core import (
     CoverageFailure, Dataset, DimensionMismatch, InvalidSize, MPConfig,
     NoSampler, Task, TooLarge,
 )
-from .ensemble import Minipatch, sample_minipatches
-from .learners import LinearModel, RidgeLearner, fit_patches
+from .ensemble import Minipatch, patch_sums, sample_minipatches
+from .learners import RidgeLearner, fit_patches
+from .loco import _error_vector
 from .rng import generator, spawn_seed
 
 __all__ = [
@@ -134,38 +135,15 @@ class MCTarget:
         return self.value
 
 
-class _PredictionSums:
-    """Running sums of model predictions at fixed points Z, one per slot.
-
-    Affine regression models add up in parameter space: each scatters its
-    coefficients into the slots' (M, d) weights and the points meet the
-    summed weights in one product at the end.  Any other model adds its
-    predictions directly, once per call whatever the number of slots.
-    """
-
-    def __init__(self, Z: np.ndarray, d: int, slots: int):
-        self.Z = Z
-        self.coef = np.zeros((slots, Z.shape[1], d))
-        self.intercept = np.zeros((slots, 1, d))
-        self.direct = np.zeros((slots, Z.shape[0], d))
-
-    def add(self, model, feats, slots) -> None:
-        if isinstance(model, LinearModel) and model.task == Task.REGRESSION:
-            for s in slots:
-                self.coef[s, feats] += model.coef
-                self.intercept[s] += model.intercept
-        else:
-            pred = model.predict_batch(self.Z[:, feats])
-            for s in slots:
-                self.direct[s] += pred
-
-    def totals(self) -> np.ndarray:
-        """Summed predictions, shape (slots, T, d)."""
-        return self.direct + (self.Z @ self.coef + self.intercept)
-
-
-def _squared_error_vector(Y, preds):
-    return (Y - preds[:, 0]) ** 2
+def _score_gap(task: Task, Y, full, noj, error: str) -> np.ndarray:
+    """Per-point error of the occluded predictions minus the full ones."""
+    if error == "squared":
+        if task != Task.REGRESSION:
+            raise DimensionMismatch("squared error applies to regression only")
+        return (Y - noj[:, 0]) ** 2 - (Y - full[:, 0]) ** 2
+    if error == "task":
+        return _error_vector(task, Y, noj) - _error_vector(task, Y, full)
+    raise InvalidSize(f"unknown error kind {error!r}")
 
 
 def monte_carlo_target(train: Dataset, config: MPConfig, j: int, sampler,
@@ -204,44 +182,32 @@ def monte_carlo_target(train: Dataset, config: MPConfig, j: int, sampler,
 
     K = len(patches)
     blocks = min(10, K)
-    # slot b sums the full predictor over block b of the patches, slot
-    # blocks + b the occluded one
-    sums = _PredictionSums(Z, train.pred_dim, 2 * blocks)
-    block_of = np.arange(K) * blocks // K
-    block_k = np.bincount(block_of, minlength=blocks).astype(float)
     rows = np.stack([p.rows for p in patches])
     feats = np.stack([p.features for p in patches])
+    # the occluded ensemble swaps each j-holding patch for a refit on
+    # features drawn away from j, in patch order
+    holds = np.nonzero((feats == j).any(axis=1))[0]
+    occ = feats.copy()
+    for k in holds:
+        occ[k] = np.sort(resample.choice(others, size=config.m, replace=False))
     fit = partial(fit_patches, learner, train.X, train.Y,
                   task=train.task, n_classes=train.n_classes)
-    for b in range(blocks):
-        ks = np.nonzero(block_of == b)[0]
-        holds = (feats[ks] == j).any(axis=1)
-        occ = [np.sort(resample.choice(others, size=config.m, replace=False))
-               for _ in range(int(holds.sum()))]
-        occluded = zip(fit(rows[ks[holds]], np.stack(occ)) if occ else [], occ)
-        for model, f, h in zip(fit(rows[ks], feats[ks]), feats[ks], holds):
-            if h:
-                sums.add(model, f, [b])
-                sums.add(*next(occluded), [blocks + b])
-            else:
-                sums.add(model, f, [b, blocks + b])
-    sum_all, sum_noj = np.split(sums.totals(), 2)
+    block_of = np.arange(K) * blocks // K
+    # fitted one patch block at a time to bound the stacked designs
+    full = [model for b in range(blocks)
+            for model in fit(rows[block_of == b], feats[block_of == b])]
+    occluded = list(full)
+    if holds.size:
+        for k, model in zip(holds, fit(rows[holds], occ[holds])):
+            occluded[k] = model
+    # column b sums the models of block b of the patches
+    W = block_of[:, None] == np.arange(blocks)
+    sum_all = patch_sums(full, feats, Z, W)
+    sum_noj = patch_sums(occluded, occ, Z, W)
+    block_k = W.sum(axis=0)
 
-    mu_full = sum_all.sum(axis=0) / K
-    mu_noj = sum_noj.sum(axis=0) / K
-
-    def score_gap(full, noj):
-        if error == "squared":
-            if train.task != Task.REGRESSION:
-                raise DimensionMismatch("squared error applies to regression only")
-            return _squared_error_vector(Y, noj) - _squared_error_vector(Y, full)
-        if error == "task":
-            from .loco import _error_vector
-            return (_error_vector(train.task, Y, noj)
-                    - _error_vector(train.task, Y, full))
-        raise InvalidSize(f"unknown error kind {error!r}")
-
-    diffs = score_gap(mu_full, mu_noj)
+    diffs = _score_gap(train.task, Y, sum_all.sum(axis=0) / K,
+                       sum_noj.sum(axis=0) / K, error)
     value = float(diffs.mean())
     se_test = float(diffs.std(ddof=1) / math.sqrt(n_test))
 
@@ -251,7 +217,8 @@ def monte_carlo_target(train: Dataset, config: MPConfig, j: int, sampler,
     se_patch = 0.0
     if blocks >= 2:
         block_vals = np.array([
-            float(score_gap(sum_all[b] / block_k[b], sum_noj[b] / block_k[b]).mean())
+            float(_score_gap(train.task, Y, sum_all[b] / block_k[b],
+                             sum_noj[b] / block_k[b], error).mean())
             for b in range(blocks)
         ])
         se_patch = float(block_vals.std(ddof=1) / math.sqrt(blocks))
@@ -282,24 +249,11 @@ def ensemble_conditional_target(ens, j: int, sampler, n_test: int = 10_000,
         raise CoverageFailure(-1, j)
 
     test = sampler(n_test, spawn_seed(seed, "testdata"))
-    Z, Y = test.X, test.Y
-    sums = _PredictionSums(Z, train.pred_dim, 2)
-    for k, (patch, model) in enumerate(zip(ens.patches, ens.models)):
-        sums.add(model, patch.features, [0, 1] if keep[k] else [0])
-    sum_all, sum_noj = sums.totals()
-    mu_full = sum_all / len(ens.patches)
-    mu_noj = sum_noj / int(keep.sum())
-
-    if error == "squared":
-        if train.task != Task.REGRESSION:
-            raise DimensionMismatch("squared error applies to regression only")
-        diffs = _squared_error_vector(Y, mu_noj) - _squared_error_vector(Y, mu_full)
-    elif error == "task":
-        from .loco import _error_vector
-        diffs = (_error_vector(train.task, Y, mu_noj)
-                 - _error_vector(train.task, Y, mu_full))
-    else:
-        raise InvalidSize(f"unknown error kind {error!r}")
+    sum_all, sum_noj = patch_sums(
+        ens.models, [p.features for p in ens.patches], test.X,
+        np.stack([np.ones_like(keep), keep], axis=1))
+    diffs = _score_gap(train.task, test.Y, sum_all / ens.K,
+                       sum_noj / int(keep.sum()), error)
     return MCTarget(value=float(diffs.mean()),
                     se=float(diffs.std(ddof=1) / math.sqrt(n_test)),
                     n_test=n_test)

@@ -22,7 +22,7 @@ class TestBenchReports:
         rep = run_coverage(SPEC, CFG, j=0, replicates=3, seed=5, n_test=400)
         assert rep.verify_summary()
         rep2 = run_power(SPEC, CFG, j=0, snr_grid=[0.0, 5.0], replicates=2,
-                         seed=6, baseline=True)
+                         seed=6)
         assert rep2.verify_summary()
 
     def test_rows_are_prefix_stable(self):
@@ -52,7 +52,7 @@ class TestBenchReports:
 
     def test_power_includes_baseline(self):
         rep = run_power(SPEC, CFG, j=0, snr_grid=[0.0, 5.0], replicates=2,
-                        seed=13, baseline=True)
+                        seed=13)
         assert "split_power" in rep.metrics
         assert set(rep.metrics["power"]) == {"0.0", "5.0"}
 
@@ -260,6 +260,24 @@ class TestCli:
         rc = main(["infer", "--data", str(data), "--task", "regression",
                    "--target-col", "missing"])
         assert rc == 3
+
+    @pytest.mark.parametrize("argv", [
+        ["infer", "--ridge-lambda", "0", "--n", "3", "--m", "5"],
+        ["oracle", "--model", "nonlinear"],
+        ["oracle", "--task", "classification"],
+    ])
+    def test_bad_inputs_are_data_errors(self, tmp_path, capsys, argv):
+        # a singular ridge system and an oracle without a closed form
+        data = tmp_path / "train.csv"
+        header = ",".join(f"x{c}" for c in range(10)) + ",target\n"
+        data.write_text(header + "".join(
+            ",".join(format(v, ".17g") for v in r) + "\n"
+            for r in np.random.default_rng(6).standard_normal((60, 11))))
+        if argv[0] == "infer":
+            argv = argv + ["--data", str(data), "--task", "regression", "--K", "50"]
+        else:
+            argv = argv + ["--N", "60", "--M", "10", "--K", "50", "--n-test", "50"]
+        assert main(argv) == 3
 
     def test_missing_file_exit_code(self, capsys):
         rc = main(["infer", "--data", "/nonexistent/x.csv", "--task",

@@ -28,6 +28,12 @@ class TestLeastSquares:
         with pytest.raises(SingularSystem):
             fit_least_squares([[1.0, 2.0]], [3.0], lam=0.0)
 
+    def test_collinear_columns_raise(self):
+        # the Cholesky check can round this gram to a tiny positive pivot
+        with pytest.raises(SingularSystem):
+            fit_least_squares([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]],
+                              [1.0, 2.0, 3.0], lam=0.0)
+
     def test_ridge_shrinkage_monotone(self):
         gen = generator(1, "ls-shrink")
         X = standard_normal(gen, (30, 4))

@@ -5,7 +5,8 @@ import pytest
 
 from mpinfer.core import Dataset, DimensionMismatch, MPConfig, NoSampler, Task, TooLarge
 from mpinfer.ensemble import train_ensemble
-from mpinfer.learners import ConstantLearner, RidgeLearner
+from mpinfer.learners import ConstantLearner, RidgeLearner, TreeLearner
+from mpinfer.loco import _error_vector
 from mpinfer.oracle import (
     LinearTargetParams, brute_force_predictor, correlated_closed_form_limits,
     ensemble_conditional_target, linear_closed_form_target, monte_carlo_target,
@@ -124,6 +125,21 @@ class TestMonteCarloTarget:
         b = monte_carlo_target(ds, cfg, 0, sampler(spec), n_test=500, seed=9)
         assert (a.value, a.se) == (b.value, b.se)
 
+    @pytest.mark.parametrize("model, learner, want", [
+        ("linear", RidgeLearner(), (-0.15172972947501695, 0.17467992847757016)),
+        ("nonlinear", TreeLearner(max_depth=3, min_leaf=2),
+         (0.07093239007034705, 0.10130916162584395)),
+    ])
+    def test_pinned_values(self, model, learner, want):
+        # pinned: a change in summation order may move these only in the last bits
+        spec = SimSpec(model=model, task="regression", N=60, M=10, snr=3.0,
+                       seed=2)
+        cfg = MPConfig(n=12, m=3, K=120, learner=learner)
+        mc = monte_carlo_target(generate(spec), cfg, 0, sampler(spec),
+                                n_test=300, seed=5)
+        assert mc.value == pytest.approx(want[0], rel=0, abs=1e-12)
+        assert mc.se == pytest.approx(want[1], rel=0, abs=1e-12)
+
     def test_requires_sampler(self):
         ds = small_dataset()
         with pytest.raises(NoSampler):
@@ -209,21 +225,28 @@ class TestConditionalTarget:
         assert mc.value == again.value
 
 
-    def test_matches_plain_average_of_model_predictions(self):
-        # ridge predictions are summed in parameter space; the plain
-        # per-model average must agree
-        spec = SimSpec(model="linear", task="regression", N=60, M=10,
-                       snr=3.0, seed=2)
-        ens = train_ensemble(generate(spec), MPConfig(K=200, seed=5,
-                                                      learner=RidgeLearner()))
+    @pytest.mark.parametrize("task, learner", [
+        ("regression", RidgeLearner()),
+        ("classification", RidgeLearner()),
+        ("regression", TreeLearner(max_depth=3, min_leaf=2)),
+    ], ids=["ridge-regression", "ridge-classification", "tree"])
+    def test_matches_plain_average_of_model_predictions(self, task, learner):
+        # both paths of the summing kernel (ridge regression in parameter
+        # space, the rest through predictions) against a plain average of
+        # independently refitted patch models
+        spec = SimSpec(model="linear", task=task, N=60, M=10, snr=3.0, seed=2)
+        ds = generate(spec)
+        ens = train_ensemble(ds, MPConfig(K=200, seed=5, learner=learner))
         mc = ensemble_conditional_target(ens, 0, sampler(spec), n_test=300,
                                          seed=6)
         test = sampler(spec)(300, spawn_seed(6, "testdata"))
-        preds = np.stack([model.predict_batch(test.X[:, patch.features])[:, 0]
-                          for patch, model in zip(ens.patches, ens.models)])
+        preds = np.stack([
+            learner.fit(ds.X[p.rows][:, p.features], ds.Y[p.rows], ds.task,
+                        ds.n_classes).predict_batch(test.X[:, p.features])
+            for p in ens.patches])
         keep = ~ens.feat_mask[:, 0]
-        diffs = (np.abs(test.Y - preds[keep].mean(axis=0))
-                 - np.abs(test.Y - preds.mean(axis=0)))
+        diffs = (_error_vector(ds.task, test.Y, preds[keep].mean(axis=0))
+                 - _error_vector(ds.task, test.Y, preds.mean(axis=0)))
         assert abs(mc.value - diffs.mean()) < 1e-12
 
 
