@@ -1,7 +1,8 @@
 """Minipatch sampling, ensemble training, and leave-out aggregation.
 
 A minipatch is a random (rows, features) submatrix; the ensemble keeps
-every fitted base model together with a dense K x N x d cache of each
+its K fitted base models as one stack (see :mod:`mpinfer.learners`,
+patch k at stack index k) together with a dense K x N x d cache of each
 model's prediction at every training row, plus boolean membership masks.
 Every leave-one-out / leave-one-covariate-out query is then a masked
 average over the cache: no model is ever refit after training.
@@ -12,7 +13,8 @@ Model predictions at new points, for new-point LOO and for the oracles'
 targets, all go through one blocked masked sum, :func:`patch_sums`.
 Training fits fixed blocks of patches at a time (ridge fits share one
 batched solve per block) and worker threads take whole blocks, so output
-is byte-identical for any thread count.
+is byte-identical for any thread count.  A snapshot (layout 3) keeps the
+stack's arrays in its .npz beside the cache and masks.
 """
 
 from __future__ import annotations
@@ -28,8 +30,7 @@ from .core import (
     MPConfig, Task,
 )
 from .learners import (
-    ConstantModel, FittedModel, LinearModel, RidgeLearner, TreeModel, _Node,
-    fit_patches, learner_from_obj, learner_to_obj,
+    FittedModel, LinearModel, RidgeLearner, fit_patches, from_obj, to_obj,
 )
 from .rng import generator
 
@@ -43,7 +44,7 @@ _PATCH_STREAM = "minipatches"
 # Size of one float scratch buffer in the blocked contractions: big enough
 # for BLAS-sized GEMMs, small enough that the cache sets peak memory.
 _BLOCK_BYTES = 4 << 20
-# Size of the stacked patch designs in one batched fit.
+# Size of the stacked patch designs (and gathered rows) in one batched fit.
 _FIT_BLOCK_BYTES = 1 << 20
 
 
@@ -74,7 +75,7 @@ def sample_minipatches(N: int, M: int, n: int, m: int, K: int, seed: int) -> lis
 
 
 class Ensemble:
-    """K fitted minipatch models plus the prediction cache and masks.
+    """K fitted minipatch models (one stack) plus the prediction cache and masks.
 
     Immutable after construction.  Query methods keep no cache of their
     own, so they are read-only and safe to call concurrently; every
@@ -82,12 +83,12 @@ class Ensemble:
     """
 
     def __init__(self, dataset: Dataset, config: MPConfig,
-                 patches: list[Minipatch], models: list[FittedModel],
+                 patches: list[Minipatch], models: FittedModel,
                  cache: np.ndarray, obs_mask: np.ndarray, feat_mask: np.ndarray):
         self.dataset = dataset
         self.config = config
         self.patches = patches
-        self.models = models
+        self.models = models          # stack of K models, in patch order
         self.cache = cache            # (K, N, d)
         self.obs_mask = obs_mask      # (K, N) bool, True iff row in patch
         self.feat_mask = feat_mask    # (K, M) bool, True iff feature in patch
@@ -141,7 +142,7 @@ class Ensemble:
         if not np.isfinite(X_new).all():
             raise DimensionMismatch("new points contain non-finite entries")
         excl = ~self.obs_mask
-        numer = patch_sums(self.models, [p.features for p in self.patches],
+        numer = patch_sums(self.models, np.stack([p.features for p in self.patches]),
                            X_new, excl)
         return numer, excl.sum(axis=0)
 
@@ -176,30 +177,30 @@ class Ensemble:
         return numer[i] / counts[i]
 
 
-def patch_sums(models, feats, X: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Weighted sums of patch models at points X (T, M), shape (S, T, d):
-    entry [s] is sum_k W[k, s] * models[k](X[:, feats[k]]).
+def patch_sums(models: FittedModel, feats: np.ndarray, X: np.ndarray,
+               W: np.ndarray) -> np.ndarray:
+    """Weighted sums of a stack of patch models at points X (T, M), shape
+    (S, T, d): entry [s] is sum_k W[k, s] * models[k](X[:, feats[k]]).
 
     One pass over blocks of patches.  Affine regression models (d = 1)
     are summed as scattered M + 1 coefficient rows (intercept last) that
-    meet X once at the end; any other model adds its stacked predictions.
+    meet X once at the end; any other stack adds its block's predictions.
     """
-    (T, M), (K, S) = X.shape, W.shape
-    d = models[0].pred_dim
-    affine = all(isinstance(m, LinearModel) and m.task == Task.REGRESSION
-                 for m in models)
+    (T, M), (K, S), m = X.shape, W.shape, feats.shape[1]
+    d = models.pred_dim
+    affine = isinstance(models, LinearModel) and models.task == Task.REGRESSION
     width = M + 1 if affine else T * d
     acc = np.zeros((S, width))
-    step = max(1, _BLOCK_BYTES // (8 * max(S, width)))
+    # per patch: a coefficient row, or a prediction row and its gathered points
+    step = max(1, _BLOCK_BYTES // (8 * max(S, width if affine else T * (d + m))))
     for lo in range(0, K, step):
-        blk = zip(models[lo:lo + step], feats[lo:lo + step])
+        blk, f = models.take(slice(lo, lo + step)), feats[lo:lo + step]
         if affine:
-            rows = np.zeros((min(step, K - lo), width))
-            for row, (model, f) in zip(rows, blk):
-                row[f], row[M] = model.coef[:, 0], model.intercept[0]
+            rows = np.zeros((f.shape[0], width))
+            rows[np.arange(f.shape[0])[:, None], f] = blk.coef[:, :, 0]
+            rows[:, M] = blk.intercept[:, 0]
         else:
-            rows = np.stack([model.predict_batch(X[:, f]).ravel()
-                             for model, f in blk])
+            rows = blk.predict_batch(X[:, f].swapaxes(0, 1)).reshape(f.shape[0], -1)
         acc += W[lo:lo + step].astype(float).T @ rows
     if affine:
         return (acc[:, :M] @ X.T + acc[:, M:])[..., None]
@@ -215,15 +216,12 @@ def average(numer: np.ndarray, counts: np.ndarray, j: int | None = None) -> np.n
     return numer / counts.reshape(-1, *[1] * (numer.ndim - 1))
 
 
-def _fit_blocks(dataset: Dataset, learner, patches, cache, models, blocks):
+def _fit_blocks(dataset: Dataset, learner, rows, feats, cache, stacks, blocks):
     X, Y = dataset.X, dataset.Y
     for lo, hi in blocks:
-        models[lo:hi] = fit_patches(
-            learner, X, Y, np.stack([p.rows for p in patches[lo:hi]]),
-            np.stack([p.features for p in patches[lo:hi]]),
-            dataset.task, dataset.n_classes)
-        for k in range(lo, hi):
-            cache[k] = models[k].predict_batch(X[:, patches[k].features])
+        stacks[lo] = fit_patches(learner, X, Y, rows[lo:hi], feats[lo:hi],
+                                 dataset.task, dataset.n_classes)
+        cache[lo:hi] = stacks[lo].predict_batch(X[:, feats[lo:hi]].swapaxes(0, 1))
 
 
 def train_ensemble(dataset: Dataset, config: MPConfig, threads: int = 1,
@@ -254,11 +252,12 @@ def train_ensemble(dataset: Dataset, config: MPConfig, threads: int = 1,
 
     N, M = dataset.n_rows, dataset.n_features
     K, d = len(patches), dataset.pred_dim
+    rows = np.stack([p.rows for p in patches])
+    feats = np.stack([p.features for p in patches])
     obs_mask = np.zeros((K, N), dtype=bool)
     feat_mask = np.zeros((K, M), dtype=bool)
-    for k, patch in enumerate(patches):
-        obs_mask[k, patch.rows] = True
-        feat_mask[k, patch.features] = True
+    obs_mask[np.arange(K)[:, None], rows] = True
+    feat_mask[np.arange(K)[:, None], feats] = True
 
     if check_coverage:
         row_excl = ~obs_mask
@@ -274,82 +273,51 @@ def train_ensemble(dataset: Dataset, config: MPConfig, threads: int = 1,
 
     learner = config.learner if config.learner is not None else RidgeLearner()
     cache = np.empty((K, N, d), dtype=float)
-    models: list[FittedModel | None] = [None] * K
+    stacks: dict[int, FittedModel] = {}   # keyed by each block's first patch
 
     # Fits are batched over fixed blocks of patches, so the blocks, not
-    # the thread count, decide which patches are fitted together.
-    step = max(1, _FIT_BLOCK_BYTES // (8 * config.n * (config.m + d)))
+    # the thread count, decide which patches are fitted together.  A
+    # block's stacked designs, and its rows gathered for the cache fill,
+    # stay within _FIT_BLOCK_BYTES.
+    step = max(1, _FIT_BLOCK_BYTES // (8 * max(config.n * (config.m + d),
+                                               N * config.m)))
     blocks = [(lo, min(lo + step, K)) for lo in range(0, K, step)]
     threads = max(1, int(threads))
     if threads == 1 or len(blocks) < 2:
-        _fit_blocks(dataset, learner, patches, cache, models, blocks)
+        _fit_blocks(dataset, learner, rows, feats, cache, stacks, blocks)
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             futures = [
-                pool.submit(_fit_blocks, dataset, learner, patches, cache,
-                            models, blocks[t::threads])
+                pool.submit(_fit_blocks, dataset, learner, rows, feats, cache,
+                            stacks, blocks[t::threads])
                 for t in range(threads)
             ]
             for fut in futures:
                 fut.result()
 
+    models = stacks[0].join(*(stacks[lo] for lo, _ in blocks[1:]))
     return Ensemble(dataset, config, patches, models, cache, obs_mask, feat_mask)
 
 
 # -- snapshot --------------------------------------------------------------
-# Layout (version 2, not stable across package versions): one .npz holding
-# the dataset arrays, patch index matrices, masks, cache, a JSON header
-# with the config echo, the learner's name and parameters, and per-model
-# parameter payloads.
-
-
-def _model_to_obj(model: FittedModel):
-    if isinstance(model, LinearModel):
-        return {"kind": "linear", "coef": model.coef.tolist(),
-                "intercept": model.intercept.tolist(), "task": model.task.value}
-    if isinstance(model, ConstantModel):
-        return {"kind": "constant", "value": model.value.tolist(),
-                "n_slots": model.n_slots}
-    if isinstance(model, TreeModel):
-        def walk(node):
-            if node.feature < 0:
-                return {"value": list(map(float, node.value))}
-            return {"feature": node.feature, "threshold": node.threshold,
-                    "left": walk(node.left), "right": walk(node.right)}
-        return {"kind": "tree", "root": walk(model.root),
-                "n_slots": model.n_slots, "d": model.d}
-    raise TypeError(f"cannot snapshot model type {type(model).__name__}")
-
-
-def _model_from_obj(obj) -> FittedModel:
-    kind = obj["kind"]
-    if kind == "linear":
-        return LinearModel(coef=np.array(obj["coef"], dtype=float),
-                           intercept=np.array(obj["intercept"], dtype=float),
-                           task=Task(obj["task"]))
-    if kind == "constant":
-        return ConstantModel(value=np.array(obj["value"], dtype=float),
-                             n_slots=obj["n_slots"])
-    if kind == "tree":
-        def walk(node):
-            if "value" in node:
-                return _Node(value=np.array(node["value"], dtype=float))
-            return _Node(feature=node["feature"], threshold=node["threshold"],
-                         left=walk(node["left"]), right=walk(node["right"]))
-        return TreeModel(root=walk(obj["root"]), n_slots=obj["n_slots"], d=obj["d"])
-    raise TypeError(f"unknown model kind {kind!r}")
+# Layout (version 3, not stable across package versions): one .npz holding
+# the dataset arrays, patch index matrices, masks, cache, the model stack's
+# arrays under "model_<field>", and a JSON header with the config echo, the
+# learner's name and parameters, and the stack's type name and scalars.
 
 
 def save_ensemble(ens: Ensemble, path) -> None:
+    model, arrays = to_obj(ens.models, "model")
+    learner = ens.config.learner
     header = {
-        "version": 2,
+        "version": 3,
         "task": ens.dataset.task.value,
         "n_classes": ens.dataset.n_classes,
         "feature_names": list(ens.dataset.feature_names or []),
         "label_names": list(ens.dataset.label_names or []),
         "config": ens.config.settings_dict(),
-        "learner": learner_to_obj(ens.config.learner),
-        "models": [_model_to_obj(m) for m in ens.models],
+        "learner": None if learner is None else to_obj(learner, "learner")[0],
+        "model": model,
     }
     rows = np.stack([p.rows for p in ens.patches])
     feats = np.stack([p.features for p in ens.patches])
@@ -357,13 +325,14 @@ def save_ensemble(ens: Ensemble, path) -> None:
         path, header=np.frombuffer(json.dumps(header).encode("utf8"), dtype=np.uint8),
         X=ens.dataset.X, Y=ens.dataset.Y, rows=rows, feats=feats,
         cache=ens.cache, obs_mask=ens.obs_mask, feat_mask=ens.feat_mask,
+        **{f"model_{name}": a for name, a in arrays.items()},
     )
 
 
 def load_ensemble(path) -> Ensemble:
-    with np.load(path) as zf:
+    with np.load(path, allow_pickle=False) as zf:
         header = json.loads(bytes(zf["header"]).decode("utf8"))
-        if header.get("version") != 2:
+        if header.get("version") != 3:
             raise InvalidSpec(f"unsupported snapshot version {header.get('version')}")
         task = Task(header["task"])
         dataset = Dataset(
@@ -371,15 +340,18 @@ def load_ensemble(path) -> Ensemble:
             feature_names=tuple(header["feature_names"]) or None,
             label_names=tuple(header["label_names"]) or None,
         )
-        cfg_echo = header["config"]
+        cfg_echo, learner = header["config"], header["learner"]
         config = MPConfig(n=cfg_echo["n"], m=cfg_echo["m"], K=cfg_echo["K"],
                           seed=cfg_echo["seed"], alpha=cfg_echo["alpha"],
                           buffer_c=cfg_echo["buffer_c"],
                           use_buffer=cfg_echo["use_buffer"],
-                          learner=learner_from_obj(header["learner"]))
+                          learner=None if learner is None
+                          else from_obj(learner, "learner"))
         patches = [Minipatch(rows=r, features=f)
                    for r, f in zip(zf["rows"], zf["feats"])]
-        models = [_model_from_obj(o) for o in header["models"]]
+        models = from_obj(header["model"], "model", {
+            name.removeprefix("model_"): zf[name]
+            for name in zf.files if name.startswith("model_")})
         return Ensemble(dataset, config, patches, models,
                         zf["cache"].copy(), zf["obs_mask"].copy(),
                         zf["feat_mask"].copy())

@@ -68,45 +68,29 @@ class ExhaustiveEnsemble:
                 self.fits.append((frozenset(rows), frozenset(feats),
                                   np.array(feats), model))
 
-    def _average(self, keep) -> np.ndarray:
-        preds = [p for p in keep]
-        if not preds:
-            raise CoverageFailure(-1)
-        return np.mean(np.stack(preds), axis=0)
-
-    def full_prediction(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return self._average(
-            model.predict_batch(x[feats][None, :])[0]
-            for _, _, feats, model in self.fits
-        )
-
-    def loo_prediction(self, i: int) -> np.ndarray:
-        x = self.dataset.X[i]
+    def _average(self, x, keep, i: int = -1, j: int | None = None) -> np.ndarray:
+        """Plain mean at x of the models whose (rows, features) pass keep."""
         preds = [model.predict_batch(x[feats][None, :])[0]
-                 for rows, _, feats, model in self.fits if i not in rows]
-        if not preds:
-            raise CoverageFailure(i)
-        return np.mean(np.stack(preds), axis=0)
-
-    def loo_loco_prediction(self, i: int, j: int) -> np.ndarray:
-        x = self.dataset.X[i]
-        preds = [model.predict_batch(x[feats][None, :])[0]
-                 for rows, fset, feats, model in self.fits
-                 if i not in rows and j not in fset]
+                 for rows, fset, feats, model in self.fits if keep(rows, fset)]
         if not preds:
             raise CoverageFailure(i, j)
         return np.mean(np.stack(preds), axis=0)
+
+    def full_prediction(self, x) -> np.ndarray:
+        return self._average(np.asarray(x, dtype=float), lambda rows, fset: True)
+
+    def loo_prediction(self, i: int) -> np.ndarray:
+        return self._average(self.dataset.X[i], lambda rows, fset: i not in rows, i)
+
+    def loo_loco_prediction(self, i: int, j: int) -> np.ndarray:
+        return self._average(self.dataset.X[i],
+                             lambda rows, fset: i not in rows and j not in fset, i, j)
 
     def loo_prediction_new(self, i: int, x_new) -> np.ndarray:
         x = np.asarray(x_new, dtype=float)
         if x.shape != (self.dataset.n_features,):
             raise DimensionMismatch("x_new must have one entry per feature")
-        preds = [model.predict_batch(x[feats][None, :])[0]
-                 for rows, _, feats, model in self.fits if i not in rows]
-        if not preds:
-            raise CoverageFailure(i)
-        return np.mean(np.stack(preds), axis=0)
+        return self._average(x, lambda rows, fset: i not in rows, i)
 
     def enumeration(self) -> list[Minipatch]:
         """The full patch list, reusable as an ensemble patch override."""
@@ -194,12 +178,12 @@ def monte_carlo_target(train: Dataset, config: MPConfig, j: int, sampler,
                   task=train.task, n_classes=train.n_classes)
     block_of = np.arange(K) * blocks // K
     # fitted one patch block at a time to bound the stacked designs
-    full = [model for b in range(blocks)
-            for model in fit(rows[block_of == b], feats[block_of == b])]
-    occluded = list(full)
-    if holds.size:
-        for k, model in zip(holds, fit(rows[holds], occ[holds])):
-            occluded[k] = model
+    parts = [fit(rows[block_of == b], feats[block_of == b]) for b in range(blocks)]
+    full = parts[0].join(*parts[1:])
+    # the refits follow the K full models in the joined stack
+    swap = np.arange(K)
+    swap[holds] = K + np.arange(holds.size)
+    occluded = full.join(fit(rows[holds], occ[holds])).take(swap)
     # column b sums the models of block b of the patches
     W = block_of[:, None] == np.arange(blocks)
     sum_all = patch_sums(full, feats, Z, W)
@@ -250,7 +234,7 @@ def ensemble_conditional_target(ens, j: int, sampler, n_test: int = 10_000,
 
     test = sampler(n_test, spawn_seed(seed, "testdata"))
     sum_all, sum_noj = patch_sums(
-        ens.models, [p.features for p in ens.patches], test.X,
+        ens.models, np.stack([p.features for p in ens.patches]), test.X,
         np.stack([np.ones_like(keep), keep], axis=1))
     diffs = _score_gap(train.task, test.Y, sum_all / ens.K,
                        sum_noj / int(keep.sum()), error)

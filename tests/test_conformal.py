@@ -80,8 +80,8 @@ def handmade_classifier(prob_vector, N=9, n_classes=2):
     K = 4
     patches = [Minipatch(rows=np.array([0]), features=np.array([0]))
                for _ in range(K)]
-    models = [ConstantModel(value=np.asarray(prob_vector, dtype=float),
-                            n_slots=1) for _ in range(K)]
+    models = ConstantModel(value=np.tile(np.asarray(prob_vector, dtype=float),
+                                         (K, 1)), n_slots=1)
     cache = np.tile(np.asarray(prob_vector, dtype=float), (K, N, 1))
     obs = np.zeros((K, N), dtype=bool)
     feat = np.zeros((K, 2), dtype=bool)
@@ -144,8 +144,7 @@ def handmade_regressor_zero(N, level=0.0):
     K = 3
     patches = [Minipatch(rows=np.array([0]), features=np.array([0]))
                for _ in range(K)]
-    models = [ConstantModel(value=np.array([level]), n_slots=1)
-              for _ in range(K)]
+    models = ConstantModel(value=np.full((K, 1), level), n_slots=1)
     cache = np.full((K, N, 1), level)
     obs = np.zeros((K, N), dtype=bool)
     feat = np.zeros((K, 2), dtype=bool)

@@ -1,15 +1,20 @@
+import json
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from mpinfer.core import (
-    CoverageFailure, Dataset, InvalidSize, MPConfig, Task,
+    CoverageFailure, Dataset, InvalidSize, InvalidSpec, MPConfig, Task,
 )
 from mpinfer import ensemble
 from mpinfer.ensemble import (
     Minipatch, load_ensemble, sample_minipatches, save_ensemble,
     train_ensemble,
 )
-from mpinfer.learners import ConstantLearner, RidgeLearner, TreeLearner, predict
+from mpinfer.learners import (
+    ConstantLearner, ConstantModel, RidgeLearner, TreeLearner, predict,
+)
 from mpinfer.rng import generator, standard_normal
 
 
@@ -72,7 +77,7 @@ class TestTraining:
         for _ in range(50):
             k = int(gen.integers(0, ens.K))
             i = int(gen.integers(0, ds.n_rows))
-            again = predict(ens.models[k], ds.X[i, ens.patches[k].features])
+            again = predict(ens.models.take(k), ds.X[i, ens.patches[k].features])
             assert np.array_equal(again, ens.cache[k, i])
 
     def test_thread_count_determinism(self):
@@ -225,3 +230,44 @@ class TestSnapshot:
         back = load_ensemble(path)
         assert np.array_equal(back.cache, ens.cache)
         assert back.dataset.n_classes == 2
+
+    @staticmethod
+    def _edit_header(path, edit):
+        with np.load(path) as zf:
+            arrays = {name: zf[name] for name in zf.files}
+        header = json.loads(bytes(arrays["header"]).decode("utf8"))
+        edit(header)
+        arrays["header"] = np.frombuffer(json.dumps(header).encode("utf8"),
+                                         dtype=np.uint8)
+        np.savez_compressed(path, **arrays)
+
+    def _saved(self, tmp_path):
+        ds = toy_dataset(N=15, M=5, seed=12)
+        ens = train_ensemble(ds, MPConfig(n=4, m=2, K=25, seed=8))
+        path = tmp_path / "snap.npz"
+        save_ensemble(ens, path)
+        return ens, path
+
+    def test_old_layout_refused(self, tmp_path):
+        _, path = self._saved(tmp_path)
+        self._edit_header(path, lambda h: h.update(version=2))
+        with pytest.raises(InvalidSpec):
+            load_ensemble(path)
+
+    @pytest.mark.parametrize("name", ["Minipatch", "Ensemble", "FittedModel"])
+    def test_unknown_model_type_refused(self, tmp_path, name):
+        # names that exist on the package's modules are refused all the same
+        _, path = self._saved(tmp_path)
+        self._edit_header(path, lambda h: h["model"].update(name=name))
+        with pytest.raises(InvalidSpec):
+            load_ensemble(path)
+
+    def test_unshipped_model_type_not_saved(self, tmp_path):
+        @dataclass(frozen=True)
+        class OwnModel(ConstantModel):
+            pass
+
+        ens, path = self._saved(tmp_path)
+        ens.models = OwnModel(value=np.zeros((ens.K, 1)), n_slots=2)
+        with pytest.raises(TypeError):
+            save_ensemble(ens, path)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -65,7 +67,7 @@ class TestDecisionTree:
     def test_two_point_split_at_midpoint(self):
         model = fit_decision_tree([[0.0], [1.0]], [0.0, 10.0],
                                   max_depth=1, min_leaf=1)
-        assert model.root.threshold == pytest.approx(0.5)
+        assert model.threshold[model.roots] == pytest.approx(0.5)
         assert predict(model, [0.2])[0] == 0.0
         assert predict(model, [0.9])[0] == 10.0
 
@@ -81,15 +83,48 @@ class TestDecisionTree:
         y = np.array([0.0, 0.0, 0.0, 10.0, 10.0, 10.0])
         model = fit_decision_tree(X, y, max_depth=5, min_leaf=3)
         # only the 3/3 split is admissible
-        assert model.root.threshold == pytest.approx(2.5)
-        assert model.root.left.feature == -1 and model.root.right.feature == -1
+        root = model.roots
+        assert model.threshold[root] == pytest.approx(2.5)
+        assert model.feature[model.left[root]] == -1 and model.feature[model.right[root]] == -1
 
     def test_tie_break_lowest_slot(self):
         # identical columns: the split must use slot 0
         X = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
         y = np.array([0.0, 0.0, 5.0, 5.0])
         model = fit_decision_tree(X, y, max_depth=1, min_leaf=1)
-        assert model.root.feature == 0
+        assert model.feature[model.roots] == 0
+
+    # leaf values and, per grid point, the leaf it reaches ("0".."6"),
+    # recorded from the recursive node-object trees this predictor replaced
+    PINNED = {
+        Task.REGRESSION: (
+            [[-2.6412125675221976], [-0.8876114878720451], [-0.7165424756820916],
+             [-0.2281830879563863], [0.576115291436321], [1.0869007740930998],
+             [3.5135022148802793]],
+            "3266321132113011326632443244304432663244324430445266524452445044"),
+        Task.CLASSIFICATION: (
+            [[0.0, 0.5, 0.5], [0.0, 0.6, 0.4], [0.0, 1.0, 0.0],
+             [0.09090909090909091, 0.09090909090909091, 0.8181818181818182],
+             [0.2777777777777778, 0.2777777777777778, 0.4444444444444444],
+             [0.4117647058823529, 0.5294117647058824, 0.058823529411764705]],
+            "5522552255225522553355335533551144334433443344112233223322330011"),
+    }
+
+    @pytest.mark.parametrize("task", [Task.REGRESSION, Task.CLASSIFICATION])
+    def test_pinned_depth3_predictions(self, task):
+        gen = generator(7, "tree-pin")
+        X = standard_normal(gen, (80, 3))
+        noise = standard_normal(gen, (80, 2))
+        if task == Task.REGRESSION:
+            y = X[:, 0] * X[:, 1] + np.sin(2 * X[:, 2]) + 0.3 * noise[:, 0]
+        else:
+            y = (X[:, 0] + noise[:, 0] > 0).astype(int) + (X[:, 2] + noise[:, 1] > 0)
+        model = fit_decision_tree(X, y, max_depth=3, min_leaf=2, task=task,
+                                  n_classes=3 if task == Task.CLASSIFICATION else 1)
+        grid = np.array(list(itertools.product((-2.0, -0.5, 0.5, 2.0), repeat=3)))
+        leaves, reached = self.PINNED[task]
+        want = np.array(leaves)[[int(c) for c in reached]]
+        assert np.array_equal(model.predict_batch(grid), want)
 
     def test_bounded_predictions_from_clipped_responses(self):
         gen = generator(3, "tree-bound")
@@ -170,7 +205,8 @@ def test_batched_ridge_fits_match_single_fits(task):
     before = FIT_CALLS.value()
     models = fit_patches(learner, X, Y, rows, feats, task, n_classes)
     assert FIT_CALLS.value() == before + 7
-    for model, r, f in zip(models, rows, feats):
+    for k, (r, f) in enumerate(zip(rows, feats)):
+        model = models.take(k)
         one = learner.fit(X[r][:, f], Y[r], task, n_classes)
         assert np.max(np.abs(model.coef - one.coef)) < 1e-12
         assert np.max(np.abs(model.intercept - one.intercept)) < 1e-12
@@ -186,3 +222,16 @@ def test_batched_ridge_fit_rejects_any_singular_patch():
     with pytest.raises(SingularSystem):
         fit_patches(RidgeLearner(lam=0.0), X, np.arange(6.0), rows, feats,
                     Task.REGRESSION, 1)
+
+
+@pytest.mark.parametrize("task", [Task.REGRESSION, Task.CLASSIFICATION])
+def test_empty_ridge_stack(task):
+    X, Y = np.arange(12.0).reshape(4, 3) ** 2, np.array([0, 1, 2, 1])
+    d = 3 if task == Task.CLASSIFICATION else 1
+    empty = fit_patches(RidgeLearner(), X, Y, np.empty((0, 3), dtype=np.int64),
+                        np.empty((0, 2), dtype=np.int64), task, d)
+    assert empty.predict_batch(np.zeros((0, 5, 2))).shape == (0, 5, d)
+    one = fit_patches(RidgeLearner(), X, Y, np.array([[0, 1, 3]]),
+                      np.array([[0, 2]]), task, d)
+    Z = X[None, :, [0, 2]]
+    assert np.array_equal(empty.join(one).predict_batch(Z), one.predict_batch(Z))

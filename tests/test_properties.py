@@ -1,6 +1,6 @@
 """Property tests: the masked-cache aggregates against the exhaustive
-ensemble, and the B-hat pair sampler against a per-row loop, on random
-tiny shapes."""
+ensemble, the B-hat pair sampler against a per-row loop, and model stacks
+against per-patch fits, on random tiny shapes."""
 
 import math
 from unittest import mock
@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 from mpinfer import ensemble as ensemble_mod
 from mpinfer.core import CoverageFailure, Dataset, MPConfig, Task
 from mpinfer.ensemble import Ensemble, Minipatch, train_ensemble
-from mpinfer.learners import ConstantLearner, RidgeLearner, TreeLearner
+from mpinfer.learners import (
+    ConstantLearner, RidgeLearner, TreeLearner, fit_patches,
+)
 from mpinfer.loco import estimate_B, infer_all, occlusion_scores
 from mpinfer.oracle import ExhaustiveEnsemble
 from mpinfer.rng import generator
@@ -73,6 +75,52 @@ def test_masked_cache_matches_exhaustive(instance, block_bytes):
         for t in range(X_new.shape[0]):
             assert np.allclose(loo_new[i, t], bf.loo_prediction_new(i, X_new[t]),
                                rtol=0, atol=TOL)
+
+
+@st.composite
+def patch_stacks(draw):
+    """A learner and task, a tiny dataset, 0-6 random patches and new points."""
+    name, task = draw(st.sampled_from([
+        ("ridge", Task.REGRESSION), ("ridge", Task.CLASSIFICATION),
+        ("tree", Task.REGRESSION), ("tree", Task.CLASSIFICATION),
+        ("constant", Task.REGRESSION)]))
+    N, M, B = draw(st.integers(4, 8)), draw(st.integers(2, 5)), draw(st.integers(0, 6))
+    n, m = draw(st.integers(1, N - 1)), draw(st.integers(1, M - 1))
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    X = gen.standard_normal((N, M))
+    d = 1 if task == Task.REGRESSION else draw(st.integers(2, 3))
+    Y = gen.standard_normal(N) if d == 1 else gen.integers(0, d, N)
+    rows = np.array([np.sort(gen.choice(N, n, replace=False)) for _ in range(B)],
+                    dtype=np.int64).reshape(B, n)
+    feats = np.array([np.sort(gen.choice(M, m, replace=False)) for _ in range(B)],
+                     dtype=np.int64).reshape(B, m)
+    return LEARNERS[name], task, d, X, Y, rows, feats, gen.standard_normal((3, M))
+
+
+@SETTINGS
+@given(patch_stacks(), st.integers(0, 1000))
+def test_stack_matches_per_patch_fits(case, seed):
+    learner, task, d, X, Y, rows, feats, X_new = case
+    B = rows.shape[0]
+    stack = fit_patches(learner, X, Y, rows, feats, task, d)
+    points = X_new[:, feats].swapaxes(0, 1)               # (B, T, m)
+    preds = stack.predict_batch(points)
+    assert preds.shape == (B, X_new.shape[0], d)
+    for b in range(B):
+        # a C-ordered submatrix, like the stacked designs (BLAS rounding
+        # in a ridge fit depends on the memory layout)
+        one = learner.fit(X[np.ix_(rows[b], feats[b])], Y[rows[b]], task, d)
+        assert np.array_equal(preds[b], one.predict_batch(X_new[:, feats[b]]))
+        assert np.array_equal(stack.take(b).predict_batch(X_new[:, feats[b]]),
+                              preds[b])
+    # selecting and joining keep every prediction, zero-patch stacks included
+    gen = np.random.default_rng(seed)
+    first = gen.choice(B, gen.integers(0, B + 1), replace=False)
+    second = gen.integers(0, B, gen.integers(0, 4)) if B else first
+    for picks in ([first], [first, second], [second, first, first[:0]]):
+        joined = stack.take(picks[0]).join(*(stack.take(p) for p in picks[1:]))
+        order = np.concatenate(picks).astype(np.int64)
+        assert np.array_equal(joined.predict_batch(points[order]), preds[order])
 
 
 @SETTINGS
