@@ -14,7 +14,6 @@ import csv
 import io
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,7 +23,7 @@ from .conformal import (
     sample_K_binomial,
 )
 from .core import Dataset, InvalidSpec, MPConfig, Task
-from .ensemble import train_ensemble
+from .ensemble import thread_map, train_ensemble
 from .learners import RidgeLearner
 from .loco import infer_all, infer_feature, loco_split_baseline
 from .oracle import ensemble_conditional_target, monte_carlo_target
@@ -83,14 +82,6 @@ def _csv_cell(value):
 def _finite(x: float) -> float | None:
     x = float(x)
     return x if math.isfinite(x) else None
-
-
-def _map_indexed(fn, count: int, threads: int) -> list:
-    threads = max(1, int(threads))
-    if threads == 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(count)))
 
 
 def _settings(spec: SimSpec, config: MPConfig, **extra) -> dict:
@@ -187,7 +178,7 @@ def run_coverage(spec: SimSpec, config: MPConfig, j: int, replicates: int,
             "covered": bool(iv.lo <= mc.value <= iv.hi),
         }
 
-    rows = _map_indexed(one, replicates, threads)
+    rows = thread_map(one, range(replicates), threads)
     settings = _settings(spec, config, j=j, replicates=replicates,
                          n_test=n_test, target_mode=target, target_K=target_K)
     return BenchReport("coverage", seed, settings,
@@ -201,8 +192,8 @@ def run_width(spec: SimSpec, config: MPConfig, j: int, n_grid: list[int],
         raise InvalidSpec("empty size grid")
     cells = [(N, rep) for N in n_grid for rep in range(replicates)]
 
-    def one(idx: int) -> dict:
-        N, rep = cells[idx]
+    def one(cell: tuple) -> dict:
+        N, rep = cell
         rep_seed = spawn_seed(seed, "width", N, rep)
         data = _rep_dataset(replace(spec, N=N), rep_seed)
         cfg = replace(config, n=None, seed=spawn_seed(rep_seed, "ensemble"))
@@ -210,7 +201,7 @@ def run_width(spec: SimSpec, config: MPConfig, j: int, n_grid: list[int],
         iv = infer_feature(ens, j)
         return {"N": N, "rep": rep, "width": float(iv.hi - iv.lo)}
 
-    rows = _map_indexed(one, len(cells), threads)
+    rows = thread_map(one, cells, threads)
     settings = _settings(spec, config, j=j, replicates=replicates,
                          n_grid=list(n_grid))
     return BenchReport("width", seed, settings,
@@ -225,8 +216,8 @@ def run_power(spec: SimSpec, config: MPConfig, j: int, snr_grid: list[float],
         raise InvalidSpec("empty SNR grid")
     cells = [(float(snr), rep) for snr in snr_grid for rep in range(replicates)]
 
-    def one(idx: int) -> dict:
-        snr, rep = cells[idx]
+    def one(cell: tuple) -> dict:
+        snr, rep = cell
         rep_seed = spawn_seed(seed, "power", repr(snr), rep)
         data = _rep_dataset(replace(spec, snr=snr), rep_seed)
         cfg = replace(config, seed=spawn_seed(rep_seed, "ensemble"))
@@ -245,7 +236,7 @@ def run_power(spec: SimSpec, config: MPConfig, j: int, snr_grid: list[float],
         row["split_reject"] = bool(base.reject)
         return row
 
-    rows = _map_indexed(one, len(cells), threads)
+    rows = thread_map(one, cells, threads)
     settings = _settings(spec, config, j=j, replicates=replicates,
                          snr_grid=[float(s) for s in snr_grid],
                          baseline=True)
@@ -286,7 +277,7 @@ def run_selection(spec: SimSpec, config: MPConfig, replicates: int,
         row.update(_selection_scores(selected, truth, data.n_features))
         return row
 
-    rows = _map_indexed(one, replicates, threads)
+    rows = thread_map(one, range(replicates), threads)
     settings = _settings(spec, config, replicates=replicates,
                          true_support=sorted(truth))
     return BenchReport("selection", seed, settings,
@@ -339,7 +330,7 @@ def run_predictive_coverage(spec: SimSpec, config: MPConfig, ensembles: int,
                 })
         return rows
 
-    nested = _map_indexed(one, ensembles, threads)
+    nested = thread_map(one, range(ensembles), threads)
     rows = [row for chunk in nested for row in chunk]
     settings = _settings(spec, config, ensembles=ensembles,
                          points_per_ensemble=points_per_ensemble,

@@ -22,9 +22,8 @@ import numpy as np
 from . import bench as bench_mod
 from .conformal import loo_residuals, predict_intervals_batch, predict_sets_batch
 from .core import (
-    CoverageFailure, Dataset, DimensionMismatch, InvalidSpec, MissingColumn,
-    MPConfig, MPInferError, Task, TooFewRows, _parse_cell, load_dataset,
-    save_dataset,
+    CoverageFailure, Dataset, InvalidSpec, MissingColumn, MPConfig,
+    MPInferError, Task, load_dataset, parse_columns, read_csv, save_dataset,
 )
 from .ensemble import train_ensemble
 from .learners import learner_from_name
@@ -143,24 +142,12 @@ def _cmd_infer(args) -> int:
 
 def _read_new_points(path, data: Dataset) -> np.ndarray:
     """New rows as a (T, M) matrix, columns matched to the training
-    features by header name."""
-    with open(path, newline="", encoding="utf8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise TooFewRows(f"{path}: empty file")
-        rows = [r for r in reader if r]
+    features by header name; other columns are not read."""
+    header, rows = read_csv(path)
     missing = [n for n in data.feature_names if n not in header]
     if missing:
         raise MissingColumn(f"{path}: no column named {missing[0]!r}")
-    cols = [header.index(n) for n in data.feature_names]
-    out = np.empty((len(rows), data.n_features))
-    for r, row in enumerate(rows):
-        if len(row) != len(header):
-            raise DimensionMismatch(
-                f"{path}: data row {r} has {len(row)} cells, expected {len(header)}")
-        out[r] = [_parse_cell(row[idx], r, header[idx]) for idx in cols]
-    return out
+    return parse_columns(header, rows, [header.index(n) for n in data.feature_names])
 
 
 def _cmd_predict(args) -> int:

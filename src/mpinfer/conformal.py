@@ -5,6 +5,8 @@ combined through order-statistic quantiles into distribution-free
 intervals (regression) or label sets (classification).  Order-statistic
 ranks are snapped to the nearest integer when within 1e-9 so that float
 representation of alpha (e.g. 0.9 * 10) cannot shift a rank by one.
+Every rule here is one rank and one selection, :func:`_order_stat`,
+made for all new points (and labels) of a batch at once.
 """
 
 from __future__ import annotations
@@ -14,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EmptyInput, InvalidSize, Task, TaskMismatch
+from .core import EmptyInput, InvalidSize, Task, TaskMismatch, error_vector
 from .ensemble import Ensemble
-from .loco import _error_vector
 from .rng import generator
 
 __all__ = [
@@ -66,31 +67,35 @@ def _snap(t: float) -> float:
     return t
 
 
+def _order_stat(values: np.ndarray, rank: int) -> np.ndarray:
+    """The rank-th smallest of ``values`` along axis 0, which is
+    partitioned in place; -inf below rank 1 and +inf past the end."""
+    N = values.shape[0]
+    if N == 0:
+        raise EmptyInput("quantile of an empty vector")
+    if not 1 <= rank <= N:
+        return np.full(values.shape[1:], -math.inf if rank < 1 else math.inf)
+    values.partition(rank - 1, axis=0)
+    return values[rank - 1]
+
+
 def quantile_plus(values, alpha: float) -> float:
     """The ceil((1-alpha)(N+1))-th smallest value, +inf past the end."""
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        raise EmptyInput("quantile of an empty vector")
+    values = np.array(values, dtype=float)      # a copy: partitioned below
     rank = math.ceil(_snap((1.0 - alpha) * (values.size + 1)))
-    if rank > values.size:
-        return math.inf
-    return float(np.sort(values)[rank - 1])
+    return float(_order_stat(values, rank))
 
 
 def quantile_minus(values, alpha: float) -> float:
     """The floor(alpha(N+1))-th smallest value, -inf below the start."""
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        raise EmptyInput("quantile of an empty vector")
+    values = np.array(values, dtype=float)      # a copy: partitioned below
     rank = math.floor(_snap(alpha * (values.size + 1)))
-    if rank < 1:
-        return -math.inf
-    return float(np.sort(values)[rank - 1])
+    return float(_order_stat(values, rank))
 
 
 def loo_residuals(ens: Ensemble) -> LooResiduals:
     ds = ens.dataset
-    return LooResiduals(R=_error_vector(ds.task, ds.Y, ens.loo_all()))
+    return LooResiduals(R=error_vector(ds.task, ds.Y, ens.loo_all()))
 
 
 def predict_intervals_batch(ens: Ensemble, residuals: LooResiduals,
@@ -98,15 +103,13 @@ def predict_intervals_batch(ens: Ensemble, residuals: LooResiduals,
     """Regression intervals for a block of new points."""
     if ens.dataset.task != Task.REGRESSION:
         raise TaskMismatch("predictive intervals require a regression ensemble")
-    X_new = np.asarray(X_new, dtype=float)
     loo = ens.loo_new_all(X_new)[:, :, 0]          # (N, T)
-    R = residuals.R[:, None]
-    out = []
-    for t in range(X_new.shape[0]):
-        lo = quantile_minus(loo[:, t] - R[:, 0], alpha)
-        hi = quantile_plus(loo[:, t] + R[:, 0], alpha)
-        out.append(PredictiveInterval(lo=lo, hi=hi, alpha=alpha))
-    return out
+    N, R = loo.shape[0], residuals.R[:, None]
+    lo = _order_stat(loo - R, math.floor(_snap(alpha * (N + 1))))
+    loo += R
+    hi = _order_stat(loo, math.ceil(_snap((1.0 - alpha) * (N + 1))))
+    return [PredictiveInterval(lo=a, hi=b, alpha=alpha)
+            for a, b in zip(lo.tolist(), hi.tolist())]
 
 
 def predict_interval(ens: Ensemble, residuals: LooResiduals, x_new,
@@ -124,18 +127,15 @@ def predict_sets_batch(ens: Ensemble, residuals: LooResiduals,
     """
     if ens.dataset.task != Task.CLASSIFICATION:
         raise TaskMismatch("predictive sets require a classification ensemble")
-    X_new = np.asarray(X_new, dtype=float)
-    loo = ens.loo_new_all(X_new)                    # (N, T, d)
-    N = loo.shape[0]
-    budget = _snap((1.0 - alpha) * (N + 1)) + _RANK_TOL
-    R = residuals.R[:, None]                        # (N, 1)
-    out = []
-    for t in range(X_new.shape[0]):
-        errs = 1.0 - loo[:, t, :]                   # (N, d)
-        counts = (errs >= R).sum(axis=0)            # per-label counts
-        labels = tuple(int(y) for y in np.nonzero(counts <= budget)[0])
-        out.append(PredictiveSet(labels=labels, alpha=alpha))
-    return out
+    errs = ens.loo_new_all(X_new)                   # (N, T, d)
+    np.subtract(1.0, errs, out=errs)                # each label's error
+    errs -= residuals.R[:, None, None]
+    # at most k rows with errs >= R  <=>  the (N-k)-th smallest errs - R < 0
+    N = errs.shape[0]
+    k = math.floor(_snap((1.0 - alpha) * (N + 1)) + _RANK_TOL)
+    inside = _order_stat(errs, N - k) < 0           # (T, d)
+    return [PredictiveSet(labels=tuple(np.flatnonzero(row).tolist()), alpha=alpha)
+            for row in inside]
 
 
 def predict_set(ens: Ensemble, residuals: LooResiduals, x_new,

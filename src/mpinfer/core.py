@@ -17,7 +17,8 @@ import numpy as np
 
 __all__ = [
     "Task", "Dataset", "MPConfig", "StandardizeRecord",
-    "error_score", "standardize", "load_dataset", "save_dataset",
+    "error_score", "error_vector", "standardize", "read_csv", "parse_columns",
+    "load_dataset", "save_dataset",
     "MPInferError", "MissingColumn", "NonNumericCell", "TooFewRows",
     "NonFiniteValue", "ZeroVarianceFeature", "DimensionMismatch",
     "InvalidClassIndex", "SingularSystem", "EmptyInput", "InvalidSize",
@@ -219,23 +220,31 @@ class MPConfig:
         }
 
 
-def error_score(task: Task, y, yhat: np.ndarray) -> float:
-    """Nonconformity of a prediction against the true response.
+def error_vector(task: Task, Y: np.ndarray, preds: np.ndarray) -> np.ndarray:
+    """Nonconformity of each prediction row preds[i] against response Y[i].
 
     Regression: |y - yhat[0]|.  Classification: 1 - yhat[y], the predicted
     probability the true class missed.
     """
+    if task == Task.REGRESSION:
+        return np.abs(Y - preds[:, 0])
+    return 1.0 - preds[np.arange(Y.shape[0]), Y.astype(np.int64)]
+
+
+def error_score(task: Task, y, yhat: np.ndarray) -> float:
+    """:func:`error_vector` of one prediction vector yhat against y."""
     yhat = np.asarray(yhat, dtype=float)
     if yhat.ndim != 1:
         raise DimensionMismatch("prediction must be a 1-D vector")
     if task == Task.REGRESSION:
         if yhat.shape[0] != 1:
             raise DimensionMismatch("regression prediction must have length 1")
-        return abs(float(y) - float(yhat[0]))
-    label = int(y)
-    if not 0 <= label < yhat.shape[0]:
-        raise InvalidClassIndex(f"class {label} outside [0, {yhat.shape[0]})")
-    return 1.0 - float(yhat[label])
+        y = float(y)
+    else:
+        y = int(y)
+        if not 0 <= y < yhat.shape[0]:
+            raise InvalidClassIndex(f"class {y} outside [0, {yhat.shape[0]})")
+    return float(error_vector(task, np.array([y]), yhat[None])[0])
 
 
 @dataclass(frozen=True)
@@ -280,6 +289,24 @@ def standardize(dataset: Dataset, standardize_y: bool = False):
     return out, StandardizeRecord(means, scales, y_mean, y_scale)
 
 
+def read_csv(path) -> tuple[list[str], list[list[str]]]:
+    """Header and non-blank rows, at least one, of a headered CSV file,
+    each row as wide as the header; cells stay text."""
+    with open(path, newline="", encoding="utf8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise TooFewRows(f"{path}: empty file")
+        rows = [r for r in reader if r]
+    for r, row in enumerate(rows):
+        if len(row) != len(header):
+            raise DimensionMismatch(
+                f"{path}: data row {r} has {len(row)} cells, expected {len(header)}")
+    if not rows:
+        raise TooFewRows(f"{path}: no data rows")
+    return header, rows
+
+
 def _parse_cell(text: str, row: int, col: str) -> float:
     try:
         value = float(text)
@@ -290,6 +317,16 @@ def _parse_cell(text: str, row: int, col: str) -> float:
     return value
 
 
+def parse_columns(header: list[str], rows: list[list[str]], cols) -> np.ndarray:
+    """Float matrix (rows, cols) of the columns ``cols`` of ``rows``; no
+    other cell is read.  The first cell, in file order, that is not a
+    finite number raises NonNumericCell or NonFiniteValue."""
+    out = np.empty((len(rows), len(cols)))
+    for r, row in enumerate(rows):
+        out[r] = [_parse_cell(row[c], r, header[c]) for c in cols]
+    return out
+
+
 def load_dataset(path, task: Task, target_column) -> Dataset:
     """Read a headered CSV into a :class:`Dataset`.
 
@@ -298,14 +335,7 @@ def load_dataset(path, task: Task, target_column) -> Dataset:
     appearance; the original labels are retained on the dataset.
     """
     task = Task(task)
-    with open(path, newline="", encoding="utf8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise TooFewRows("empty file") from None
-        rows = [r for r in reader if r]
-
+    header, rows = read_csv(path)
     if isinstance(target_column, int) and not isinstance(target_column, bool):
         if not 0 <= target_column < len(header):
             raise MissingColumn(f"column index {target_column} out of range")
@@ -316,34 +346,19 @@ def load_dataset(path, task: Task, target_column) -> Dataset:
         except ValueError:
             raise MissingColumn(f"no column named {target_column!r}") from None
 
-    if len(rows) < 2:
-        raise TooFewRows(f"need at least 2 data rows, got {len(rows)}")
-
-    feature_names = tuple(name for i, name in enumerate(header) if i != t_idx)
-    n, m = len(rows), len(feature_names)
-    X = np.empty((n, m), dtype=float)
-    raw_targets: list[str] = []
-    for r, row in enumerate(rows):
-        if len(row) != len(header):
-            raise DimensionMismatch(f"data row {r} has {len(row)} cells, expected {len(header)}")
-        c = 0
-        for i, cell in enumerate(row):
-            if i == t_idx:
-                raw_targets.append(cell)
-            else:
-                X[r, c] = _parse_cell(cell, r, header[i])
-                c += 1
-
+    features = [i for i in range(len(header)) if i != t_idx]
+    X = parse_columns(header, rows, features)
+    feature_names = tuple(header[i] for i in features)
     if task == Task.REGRESSION:
-        Y = np.array([_parse_cell(t, r, header[t_idx]) for r, t in enumerate(raw_targets)])
+        Y = parse_columns(header, rows, [t_idx])[:, 0]
         return Dataset(X=X, Y=Y, task=task, feature_names=feature_names)
 
     encoding: dict[str, int] = {}
-    labels = np.empty(n, dtype=np.int64)
-    for r, t in enumerate(raw_targets):
-        if t not in encoding:
-            encoding[t] = len(encoding)
-        labels[r] = encoding[t]
+    labels = np.empty(len(rows), dtype=np.int64)
+    for r, row in enumerate(rows):
+        if row[t_idx] not in encoding:
+            encoding[row[t_idx]] = len(encoding)
+        labels[r] = encoding[row[t_idx]]
     if len(encoding) < 2:
         raise InvalidClassIndex("classification target has fewer than 2 classes")
     return Dataset(X=X, Y=labels, task=task, n_classes=len(encoding),

@@ -11,9 +11,10 @@ Memory: the cache costs K*N*d doubles (e.g. K=10,000, N=2,000, d=1 is
 160 MB); LOO and LOCO are one pass of mask GEMMs over blocks of patches.
 Model predictions at new points, for new-point LOO and for the oracles'
 targets, all go through one blocked masked sum, :func:`patch_sums`.
-Training fits fixed blocks of patches at a time (ridge fits share one
-batched solve per block) and worker threads take whole blocks, so output
-is byte-identical for any thread count.  A snapshot (layout 3) keeps the
+Every patch fit, the ensemble's and the oracles', goes through
+:func:`fit_patch_models`, whose fixed blocks (one batched ridge solve
+each) worker threads take whole, so output is byte-identical for any
+thread count.  A snapshot (layout 3) keeps the
 stack's arrays in its .npz beside the cache and masks.
 """
 
@@ -36,7 +37,8 @@ from .rng import generator
 
 __all__ = [
     "Minipatch", "Ensemble", "sample_minipatches", "train_ensemble",
-    "save_ensemble", "load_ensemble", "patch_sums",
+    "save_ensemble", "load_ensemble", "patch_sums", "fit_patch_models",
+    "thread_map",
 ]
 
 _PATCH_STREAM = "minipatches"
@@ -216,12 +218,40 @@ def average(numer: np.ndarray, counts: np.ndarray, j: int | None = None) -> np.n
     return numer / counts.reshape(-1, *[1] * (numer.ndim - 1))
 
 
-def _fit_blocks(dataset: Dataset, learner, rows, feats, cache, stacks, blocks):
+def thread_map(fn, items, threads: int = 1) -> list:
+    """``[fn(x) for x in items]`` on up to ``threads`` worker threads,
+    results in input order."""
+    items, threads = list(items), max(1, int(threads))
+    if threads == 1 or len(items) < 2:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))
+
+
+def fit_patch_models(dataset: Dataset, learner, rows: np.ndarray,
+                     feats: np.ndarray, threads: int = 1,
+                     cache: np.ndarray | None = None) -> FittedModel:
+    """A stack of ``learner`` fits, patch k on the submatrix (rows[k],
+    feats[k]); with ``cache``, also cache[k] = patch k's predictions at
+    every row.  Each block's stacked designs (and rows gathered for a
+    cache) stay within _FIT_BLOCK_BYTES, so blocks are fixed by sizes,
+    not by the thread count."""
     X, Y = dataset.X, dataset.Y
-    for lo, hi in blocks:
-        stacks[lo] = fit_patches(learner, X, Y, rows[lo:hi], feats[lo:hi],
-                                 dataset.task, dataset.n_classes)
-        cache[lo:hi] = stacks[lo].predict_batch(X[:, feats[lo:hi]].swapaxes(0, 1))
+    (K, n), m, d = rows.shape, feats.shape[1], dataset.pred_dim
+    size = n * (m + d) if cache is None else max(n * (m + d), X.shape[0] * m)
+    step = max(1, _FIT_BLOCK_BYTES // (8 * size))
+
+    def fit(lo: int) -> FittedModel:
+        f = feats[lo:lo + step]
+        stack = fit_patches(learner, X, Y, rows[lo:lo + step], f,
+                            dataset.task, dataset.n_classes)
+        if cache is not None:
+            cache[lo:lo + step] = stack.predict_batch(X[:, f].swapaxes(0, 1))
+        return stack
+
+    # a stack of zero patches is still one (empty) block
+    parts = thread_map(fit, range(0, max(K, 1), step), threads)
+    return parts[0].join(*parts[1:])
 
 
 def train_ensemble(dataset: Dataset, config: MPConfig, threads: int = 1,
@@ -273,29 +303,7 @@ def train_ensemble(dataset: Dataset, config: MPConfig, threads: int = 1,
 
     learner = config.learner if config.learner is not None else RidgeLearner()
     cache = np.empty((K, N, d), dtype=float)
-    stacks: dict[int, FittedModel] = {}   # keyed by each block's first patch
-
-    # Fits are batched over fixed blocks of patches, so the blocks, not
-    # the thread count, decide which patches are fitted together.  A
-    # block's stacked designs, and its rows gathered for the cache fill,
-    # stay within _FIT_BLOCK_BYTES.
-    step = max(1, _FIT_BLOCK_BYTES // (8 * max(config.n * (config.m + d),
-                                               N * config.m)))
-    blocks = [(lo, min(lo + step, K)) for lo in range(0, K, step)]
-    threads = max(1, int(threads))
-    if threads == 1 or len(blocks) < 2:
-        _fit_blocks(dataset, learner, rows, feats, cache, stacks, blocks)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(_fit_blocks, dataset, learner, rows, feats, cache,
-                            stacks, blocks[t::threads])
-                for t in range(threads)
-            ]
-            for fut in futures:
-                fut.result()
-
-    models = stacks[0].join(*(stacks[lo] for lo, _ in blocks[1:]))
+    models = fit_patch_models(dataset, learner, rows, feats, threads, cache)
     return Ensemble(dataset, config, patches, models, cache, obs_mask, feat_mask)
 
 

@@ -316,7 +316,9 @@ class _Learner:
     ys (B, n) in ``fit_stack``; ``fit`` is a stack of one, taken out."""
 
     def fit(self, X_sub, Y_sub, task: Task, n_classes: int) -> FittedModel:
-        X = np.asarray(X_sub, dtype=float)
+        # C order, as in a fit_patches stack, so a patch fitted alone is
+        # bit-equal to the same patch fitted inside a stack
+        X = np.ascontiguousarray(X_sub, dtype=float)
         if X.ndim != 2 or X.shape[0] == 0:
             raise EmptyInput("X_sub must be a non-empty 2-D matrix")
         return self.fit_stack(X[None], np.asarray(Y_sub)[None], task,

@@ -25,7 +25,7 @@ import numpy as np
 
 from .core import (
     CoverageFailure, Dataset, DegenerateDenominator, DimensionMismatch,
-    InvalidSize, Task, TooFewRows,
+    InvalidSize, TooFewRows, error_vector,
 )
 from .ensemble import Ensemble, average
 from .normal import norm_ppf, norm_sf
@@ -86,13 +86,6 @@ class TestResult(NamedTuple):
     reject: bool
 
 
-def _error_vector(task: Task, Y: np.ndarray, preds: np.ndarray) -> np.ndarray:
-    # Elementwise twin of core.error_score over a column of predictions.
-    if task == Task.REGRESSION:
-        return np.abs(Y - preds[:, 0])
-    return 1.0 - preds[np.arange(Y.shape[0]), Y.astype(np.int64)]
-
-
 def _occlusion_results(ens: Ensemble, features) -> list:
     """Occlusion scores of each listed feature from one LOCO pass; a
     feature without full coverage gets its CoverageFailure instead."""
@@ -106,7 +99,7 @@ def _occlusion_results(ens: Ensemble, features) -> list:
         except CoverageFailure as exc:
             out.append(exc)
             continue
-        scores = _error_vector(ds.task, ds.Y, loco) - _error_vector(ds.task, ds.Y, loo)
+        scores = error_vector(ds.task, ds.Y, loco) - error_vector(ds.task, ds.Y, loo)
         out.append(OcclusionResult(j=j, scores=scores, mean=float(scores.mean()),
                                    sd=float(scores.std(ddof=1)),
                                    n_obs=scores.shape[0]))
@@ -302,9 +295,9 @@ def loco_split_baseline(dataset: Dataset, j: int, alpha: float, learner,
     full = learner.fit(X[d1], Y[d1], dataset.task, dataset.n_classes)
     reduced = learner.fit(X[d1][:, keep], Y[d1], dataset.task, dataset.n_classes)
 
-    err_full = _error_vector(dataset.task, Y[d2], full.predict_batch(X[d2]))
-    err_red = _error_vector(dataset.task, Y[d2],
-                            reduced.predict_batch(X[d2][:, keep]))
+    err_full = error_vector(dataset.task, Y[d2], full.predict_batch(X[d2]))
+    err_red = error_vector(dataset.task, Y[d2],
+                           reduced.predict_batch(X[d2][:, keep]))
     scores = err_red - err_full
     res = OcclusionResult(j=j, scores=scores, mean=float(scores.mean()),
                           sd=float(scores.std(ddof=1)), n_obs=scores.shape[0])

@@ -16,18 +16,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from itertools import combinations
 
 import numpy as np
 
 from .core import (
     CoverageFailure, Dataset, DimensionMismatch, InvalidSize, MPConfig,
-    NoSampler, Task, TooLarge,
+    NoSampler, Task, TooLarge, error_vector,
 )
-from .ensemble import Minipatch, patch_sums, sample_minipatches
-from .learners import RidgeLearner, fit_patches
-from .loco import _error_vector
+from .ensemble import Minipatch, fit_patch_models, patch_sums, sample_minipatches
+from .learners import RidgeLearner
 from .rng import generator, spawn_seed
 
 __all__ = [
@@ -126,7 +124,7 @@ def _score_gap(task: Task, Y, full, noj, error: str) -> np.ndarray:
             raise DimensionMismatch("squared error applies to regression only")
         return (Y - noj[:, 0]) ** 2 - (Y - full[:, 0]) ** 2
     if error == "task":
-        return _error_vector(task, Y, noj) - _error_vector(task, Y, full)
+        return error_vector(task, Y, noj) - error_vector(task, Y, full)
     raise InvalidSize(f"unknown error kind {error!r}")
 
 
@@ -174,18 +172,14 @@ def monte_carlo_target(train: Dataset, config: MPConfig, j: int, sampler,
     occ = feats.copy()
     for k in holds:
         occ[k] = np.sort(resample.choice(others, size=config.m, replace=False))
-    fit = partial(fit_patches, learner, train.X, train.Y,
-                  task=train.task, n_classes=train.n_classes)
-    block_of = np.arange(K) * blocks // K
-    # fitted one patch block at a time to bound the stacked designs
-    parts = [fit(rows[block_of == b], feats[block_of == b]) for b in range(blocks)]
-    full = parts[0].join(*parts[1:])
+    full = fit_patch_models(train, learner, rows, feats)
     # the refits follow the K full models in the joined stack
     swap = np.arange(K)
     swap[holds] = K + np.arange(holds.size)
-    occluded = full.join(fit(rows[holds], occ[holds])).take(swap)
+    occluded = full.join(fit_patch_models(train, learner, rows[holds],
+                                          occ[holds])).take(swap)
     # column b sums the models of block b of the patches
-    W = block_of[:, None] == np.arange(blocks)
+    W = (np.arange(K) * blocks // K)[:, None] == np.arange(blocks)
     sum_all = patch_sums(full, feats, Z, W)
     sum_noj = patch_sums(occluded, occ, Z, W)
     block_k = W.sum(axis=0)

@@ -1,7 +1,11 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpinfer.bench import (
     run_coverage, run_power, run_predictive_coverage, run_selection, run_width,
@@ -291,3 +295,75 @@ class TestCli:
                    "--target-col", "y", "--K", "1", "--n", "1", "--m", "1",
                    "--seed", "0"])
         assert rc == 4
+
+
+HEADER = ["x0", "x1", "x2", "target"]
+
+
+def predict_files(task: str, seed: int) -> dict:
+    """Valid training (12 rows) and new-points (3 rows) files, as lists
+    of cell lists led by the header."""
+    gen = np.random.default_rng(seed)
+    data, new = ([list(HEADER)] + [[format(v, ".17g") for v in row]
+                                   for row in gen.standard_normal((rows, 4))]
+                 for rows in (12, 3))
+    if task == "classification":
+        for i, row in enumerate(data[1:]):
+            row[3] = "ab"[i % 2]
+    return {"data": data, "new": new}
+
+
+def run_predict(task: str, files: dict) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, lines in files.items():
+            (Path(tmp) / f"{name}.csv").write_text(
+                "".join(",".join(cells) + "\n" for cells in lines))
+        return main(["predict", "--data", f"{tmp}/data.csv", "--task", task,
+                     "--new-data", f"{tmp}/new.csv", "--K", "50",
+                     "--out", f"{tmp}/out.csv"])
+
+
+@st.composite
+def malformed_predict_inputs(draw):
+    """A task and the two files of ``predict_files``, one of them given
+    exactly one defect."""
+    task = draw(st.sampled_from(["regression", "classification"]))
+    files = predict_files(task, draw(st.integers(0, 2 ** 32 - 1)))
+    which = draw(st.sampled_from(["data", "new"]))
+    lines = files[which]
+    r = draw(st.integers(1, len(lines) - 1))          # a data row
+    c = draw(st.integers(0, 2))                       # a feature column
+    defect = draw(st.sampled_from(["short", "long", "cell", "drop", "rename",
+                                   "empty", "header-only"]))
+    # the training file must keep its target: without one of its features
+    # it is still valid, but renaming one leaves the new points without it
+    if which == "data" and (defect == "drop"
+                            or defect == "rename" and draw(st.booleans())):
+        c = 3
+    if defect == "short":
+        lines[r] = lines[r][:draw(st.integers(1, 3))]
+    elif defect == "long":
+        lines[r] += ["1"] * draw(st.integers(1, 3))
+    elif defect == "cell":
+        lines[r][c] = draw(st.sampled_from(["", " ", "abc", "1.2.3", "nan",
+                                            "-inf", "inf", "1e999"]))
+    elif defect == "rename":
+        lines[0][c] = "renamed"
+    elif defect == "drop":
+        for cells in lines:
+            del cells[c]
+    else:
+        del lines[0 if defect == "empty" else 1:]
+    return task, files
+
+
+@pytest.mark.parametrize("task", ["regression", "classification"])
+def test_unbroken_predict_inputs_succeed(task):
+    assert run_predict(task, predict_files(task, 0)) == 0
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(malformed_predict_inputs())
+def test_malformed_predict_inputs_are_data_errors(case):
+    task, files = case
+    assert run_predict(task, files) == 3

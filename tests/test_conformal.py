@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from mpinfer.conformal import (
-    LooResiduals, loo_residuals, predict_interval, predict_intervals_batch,
-    predict_set, quantile_minus, quantile_plus, sample_K_binomial,
+    _RANK_TOL, LooResiduals, _snap, loo_residuals, predict_interval,
+    predict_intervals_batch, predict_set, predict_sets_batch, quantile_minus,
+    quantile_plus, sample_K_binomial,
 )
 from mpinfer.core import (
     Dataset, EmptyInput, InvalidSize, MPConfig, Task, TaskMismatch,
@@ -194,6 +195,40 @@ class TestPredictSet:
         ds, ens, res = interval_fixture()
         with pytest.raises(TaskMismatch):
             predict_set(ens, res, np.zeros(ds.n_features), 0.1)
+
+
+# ranks below 1 and past N (at N = 25, alpha = 0.01), and interior ranks
+BATCH_ALPHAS = [0.01, 0.1, 0.37, 0.5, 0.9, 0.99]
+
+
+@pytest.mark.parametrize("alpha", BATCH_ALPHAS)
+def test_interval_batch_equals_per_point_rule(alpha):
+    ds, ens, res = interval_fixture()
+    X_new = standard_normal(generator(3, "batch-points"), (40, ds.n_features))
+    loo = ens.loo_new_all(X_new)[:, :, 0]
+    got = predict_intervals_batch(ens, res, X_new, alpha)
+    for t, iv in enumerate(got):
+        assert iv.lo == reference_minus(loo[:, t] - res.R, alpha)
+        assert iv.hi == reference_plus(loo[:, t] + res.R, alpha)
+    assert any(math.isinf(iv.hi) for iv in got) == (alpha == 0.01)
+
+
+@pytest.mark.parametrize("alpha", BATCH_ALPHAS)
+def test_set_batch_equals_per_point_rule(alpha):
+    gen = generator(4, "batch-sets")
+    X = standard_normal(gen, (25, 4))
+    ds = Dataset(X=X, Y=(X[:, 0] > 0).astype(int) + (X[:, 1] > 0.5),
+                 task=Task.CLASSIFICATION, n_classes=3)
+    ens = train_ensemble(ds, MPConfig(n=6, m=2, K=150, seed=3,
+                                      learner=RidgeLearner()))
+    X_new = standard_normal(gen, (40, 4))
+    loo = ens.loo_new_all(X_new)
+    # every row's residual ties its error on label 0 at new point 0
+    for res in (loo_residuals(ens), LooResiduals(R=1.0 - loo[:, 0, 0])):
+        budget = _snap((1.0 - alpha) * (ds.n_rows + 1)) + _RANK_TOL
+        for t, ps in enumerate(predict_sets_batch(ens, res, X_new, alpha)):
+            counts = ((1.0 - loo[:, t, :]) >= res.R[:, None]).sum(axis=0)
+            assert ps.labels == tuple(np.nonzero(counts <= budget)[0].tolist())
 
 
 class TestLooResiduals:

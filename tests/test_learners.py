@@ -207,9 +207,10 @@ def test_batched_ridge_fits_match_single_fits(task):
     assert FIT_CALLS.value() == before + 7
     for k, (r, f) in enumerate(zip(rows, feats)):
         model = models.take(k)
+        # X[r][:, f] is Fortran-ordered; the stack gathers C-ordered designs
         one = learner.fit(X[r][:, f], Y[r], task, n_classes)
-        assert np.max(np.abs(model.coef - one.coef)) < 1e-12
-        assert np.max(np.abs(model.intercept - one.intercept)) < 1e-12
+        assert np.array_equal(model.coef, one.coef)
+        assert np.array_equal(model.intercept, one.intercept)
 
 
 def test_batched_ridge_fit_rejects_any_singular_patch():

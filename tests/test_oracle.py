@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from mpinfer.core import Dataset, DimensionMismatch, MPConfig, NoSampler, Task, TooLarge
+from mpinfer import ensemble as ensemble_mod
+from mpinfer.core import (
+    Dataset, DimensionMismatch, MPConfig, NoSampler, Task, TooLarge, error_vector,
+)
 from mpinfer.ensemble import train_ensemble
 from mpinfer.learners import ConstantLearner, RidgeLearner, TreeLearner
-from mpinfer.loco import _error_vector
 from mpinfer.oracle import (
     LinearTargetParams, brute_force_predictor, correlated_closed_form_limits,
     ensemble_conditional_target, linear_closed_form_target, monte_carlo_target,
@@ -140,6 +142,24 @@ class TestMonteCarloTarget:
         assert mc.value == pytest.approx(want[0], rel=0, abs=1e-12)
         assert mc.se == pytest.approx(want[1], rel=0, abs=1e-12)
 
+    @pytest.mark.parametrize("block_bytes", [500, 3000])
+    @pytest.mark.parametrize("task, learner", [
+        ("regression", RidgeLearner()),
+        ("classification", RidgeLearner()),
+        ("regression", TreeLearner(max_depth=3, min_leaf=2)),
+        ("regression", ConstantLearner()),
+    ], ids=["ridge-regression", "ridge-classification", "tree", "constant"])
+    def test_fit_blocks_do_not_move_target(self, monkeypatch, task, learner,
+                                           block_bytes):
+        # small fit blocks split the full and the refit stacks into many
+        # fits (one or a few patches each) against one block by default
+        spec = SimSpec(model="linear", task=task, N=60, M=10, snr=3.0, seed=2)
+        ds, cfg = generate(spec), MPConfig(n=12, m=3, K=120, learner=learner)
+        want = monte_carlo_target(ds, cfg, 0, sampler(spec), n_test=300, seed=5)
+        monkeypatch.setattr(ensemble_mod, "_FIT_BLOCK_BYTES", block_bytes)
+        got = monte_carlo_target(ds, cfg, 0, sampler(spec), n_test=300, seed=5)
+        assert (got.value, got.se) == (want.value, want.se)
+
     def test_requires_sampler(self):
         ds = small_dataset()
         with pytest.raises(NoSampler):
@@ -245,8 +265,8 @@ class TestConditionalTarget:
                         ds.n_classes).predict_batch(test.X[:, p.features])
             for p in ens.patches])
         keep = ~ens.feat_mask[:, 0]
-        diffs = (_error_vector(ds.task, test.Y, preds[keep].mean(axis=0))
-                 - _error_vector(ds.task, test.Y, preds.mean(axis=0)))
+        diffs = (error_vector(ds.task, test.Y, preds[keep].mean(axis=0))
+                 - error_vector(ds.task, test.Y, preds.mean(axis=0)))
         assert abs(mc.value - diffs.mean()) < 1e-12
 
 

@@ -1,0 +1,41 @@
+"""Source checks on the package itself."""
+
+import ast
+from pathlib import Path
+
+import mpinfer
+
+PACKAGE = Path(mpinfer.__file__).parent
+
+
+def private_imports(source: str) -> list[tuple[int, str, str]]:
+    """(line, module, name) of every ``_``-prefixed name that a module
+    imports from a module of this package."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if node.level == 0 and module.split(".")[0] != "mpinfer":
+            continue
+        found += [(node.lineno, module, alias.name) for alias in node.names
+                  if alias.name.startswith("_")]
+    return found
+
+
+def test_detects_private_imports():
+    source = ("from .loco import _error_vector\n"
+              "from mpinfer.core import _parse_cell, load_dataset\n"
+              "from . import _x\n"
+              "from __future__ import annotations\n"
+              "from os import _exit\n")
+    assert private_imports(source) == [
+        (1, "loco", "_error_vector"), (2, "mpinfer.core", "_parse_cell"),
+        (3, "", "_x")]
+
+
+def test_no_module_imports_another_modules_private_names():
+    offenders = [f"{path.name}:{line}: {name} from {module or '.'}"
+                 for path in sorted(PACKAGE.glob("*.py"))
+                 for line, module, name in private_imports(path.read_text())]
+    assert offenders == []
