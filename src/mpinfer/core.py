@@ -290,14 +290,14 @@ def standardize(dataset: Dataset, standardize_y: bool = False):
 
 
 def read_csv(path) -> tuple[list[str], list[list[str]]]:
-    """Header and non-blank rows, at least one, of a headered CSV file,
-    each row as wide as the header; cells stay text."""
-    with open(path, newline="", encoding="utf8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise TooFewRows(f"{path}: empty file")
-        rows = [r for r in reader if r]
+    """Header (the first non-blank row) and non-blank rows, at least one,
+    of a headered CSV file, each row as wide as the header; cells stay
+    text.  A leading UTF-8 byte-order mark is dropped."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        rows = [r for r in csv.reader(fh) if r]
+    if not rows:
+        raise TooFewRows(f"{path}: empty file")
+    header, rows = rows[0], rows[1:]
     for r, row in enumerate(rows):
         if len(row) != len(header):
             raise DimensionMismatch(

@@ -64,16 +64,50 @@ class Minipatch:
 
 def sample_minipatches(N: int, M: int, n: int, m: int, K: int, seed: int) -> list[Minipatch]:
     """Draw K independent uniform (rows, features) pairs, each without
-    replacement within the patch; deterministic in the seed."""
+    replacement within the patch; deterministic in the seed.
+
+    The stream is that of ``np.sort(gen.choice(N, n, replace=False))``
+    then ``np.sort(gen.choice(M, m, replace=False))`` per patch, as long
+    as numpy's ``choice`` takes Floyd's algorithm (population at most
+    10,000 or sample at most 1/50 of it).  For a sample of k from pop,
+    ``choice`` makes k bounded draws in [0, j] for j = pop-k..pop-1
+    (Floyd's rule: keep the draw, or j if the draw is taken) and then
+    k-1 shuffle draws in [0, i] for i = k-1..1, which only reorder.
+    Here one ``integers`` call makes those draws, with the same bounded
+    routine in the same order, for a whole block of patches, and Floyd's
+    rule runs column by column over the block.  Beyond that size numpy
+    would tail-shuffle instead; Floyd still draws uniform subsets there,
+    but not numpy's.
+    """
     if not (1 <= n < N) or not (1 <= m < M) or K < 1:
         raise InvalidSize(f"invalid sizes: N={N}, M={M}, n={n}, m={m}, K={K}")
     gen = generator(seed, _PATCH_STREAM)
+    # exclusive bounds of one patch's draws: rows' Floyd and shuffle
+    # draws, then the features'
+    highs = np.concatenate([np.arange(N - n, N), np.arange(n - 1, 0, -1),
+                            np.arange(M - m, M), np.arange(m - 1, 0, -1)]) + 1
+    # per patch: its int64 draws, the index arrays Floyd's rule makes from
+    # them, and its row and feature masks
+    step = max(1, _BLOCK_BYTES // (8 * (highs.size + 4 * (n + m)) + N + M))
     patches = []
-    for _ in range(K):
-        rows = np.sort(gen.choice(N, size=n, replace=False))
-        feats = np.sort(gen.choice(M, size=m, replace=False))
-        patches.append(Minipatch(rows=rows, features=feats))
+    for lo in range(0, K, step):
+        draws = gen.integers(0, np.broadcast_to(highs, (min(step, K - lo), highs.size)))
+        rows = _floyd(draws[:, :n], N)
+        feats = _floyd(draws[:, 2 * n - 1:2 * n - 1 + m], M)
+        patches += map(Minipatch, rows, feats)
     return patches
+
+
+def _floyd(draws: np.ndarray, pop: int) -> np.ndarray:
+    """Sorted subsets (B, k) of range(pop) that Floyd's rule builds from
+    draws[:, t] in [0, pop - k + t], one subset per row."""
+    B, k = draws.shape
+    base = np.arange(0, B * pop, pop)  # row starts in the flat (B, pop) mask
+    taken = np.zeros(B * pop, dtype=bool)
+    for t, at in enumerate((draws + base[:, None]).T.copy()):
+        # keep the draw, or j = pop - k + t (never taken yet) if it is taken
+        taken[np.where(taken[at], base + (pop - k + t), at)] = True
+    return np.flatnonzero(taken).reshape(B, k) - base[:, None]
 
 
 class Ensemble:

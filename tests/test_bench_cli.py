@@ -253,6 +253,23 @@ class TestCli:
         assert rc == 3
         assert needle in capsys.readouterr().err
 
+    @pytest.mark.parametrize("prefix", ["\ufeff", "\n"])
+    def test_new_data_with_bom_or_blank_first_line(self, tmp_path, capsys, prefix):
+        gen = np.random.default_rng(5)
+        data = tmp_path / "train.csv"
+        data.write_text("x0,x1,x2,target\n" + "".join(
+            ",".join(format(v, ".17g") for v in r) + "\n"
+            for r in gen.standard_normal((30, 4))))
+        new = tmp_path / "new.csv"
+        new.write_bytes((prefix + "x0,x1,x2\n1,2,3\n").encode("utf8"))
+        out = tmp_path / "pred.csv"
+        rc = main(["predict", "--data", str(data), "--task", "regression",
+                   "--target-col", "target", "--new-data", str(new),
+                   "--K", "50", "--out", str(out)])
+        assert rc == 0, capsys.readouterr().err
+        assert out.read_text().splitlines()[0] == "row_id,lo,hi"
+        assert len(out.read_text().splitlines()) == 2
+
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:
             main(["bench", "nonsense"])

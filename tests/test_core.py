@@ -48,6 +48,14 @@ class TestLoadDataset:
             load_dataset(path, Task.REGRESSION, "y")
         assert exc.value.row == 1 and exc.value.col == "b"
 
+    @pytest.mark.parametrize("prefix", ["\ufeff", "\n", "\r\n\n"])
+    def test_bom_and_blank_first_lines_before_header(self, tmp_path, prefix):
+        path = tmp_path / "data.csv"
+        path.write_bytes((prefix + "a,b,y\n1,2,0.5\n3,4,1.5\n").encode("utf8"))
+        ds = load_dataset(path, Task.REGRESSION, "y")
+        assert ds.feature_names == ("a", "b")
+        assert np.array_equal(ds.X, [[1, 2], [3, 4]])
+
     def test_too_few_rows(self, tmp_path):
         path = write(tmp_path, "a,b,y\n1,2,0.5\n")
         with pytest.raises(TooFewRows):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import dataclass
 
@@ -58,6 +59,78 @@ class TestSampling:
         for p in patches:
             counts[p.rows[0]] += 1
         assert np.all(np.abs(counts - 1000 / 3) <= 60)
+
+
+# -- patch stream guard ----------------------------------------------------
+# sample_minipatches must make exactly the draws of the per-patch choice
+# loop below wherever numpy's choice runs Floyd's algorithm.
+
+def choice_patches(N, M, n, m, K, seed):
+    gen = generator(seed, "minipatches")
+    return gen, [(np.sort(gen.choice(N, n, replace=False)),
+                  np.sort(gen.choice(M, m, replace=False))) for _ in range(K)]
+
+
+def assert_same_patches(got, want):
+    assert len(got) == len(want)
+    for p, (rows, feats) in zip(got, want):
+        assert p.rows.dtype == np.int64 and p.features.dtype == np.int64
+        assert np.array_equal(p.rows, rows) and np.array_equal(p.features, feats)
+
+
+class TestPatchStream:
+    @pytest.mark.parametrize("N,M,n,m,K", [
+        (2000, 100, 45, 10, 300), (250, 50, 16, 8, 200), (5, 3, 2, 1, 500),
+        (3, 2, 1, 1, 40), (10_000, 30, 200, 29, 20), (20_000, 9000, 400, 180, 15),
+    ])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_equals_choice_loop(self, N, M, n, m, K, seed):
+        assert_same_patches(sample_minipatches(N, M, n, m, K, seed),
+                            choice_patches(N, M, n, m, K, seed)[1])
+
+    @pytest.mark.parametrize("block_bytes", [1, 900, 5000])
+    def test_equals_choice_loop_over_many_blocks(self, monkeypatch, block_bytes):
+        # K = 97 is no multiple of any of these block sizes
+        monkeypatch.setattr(ensemble, "_BLOCK_BYTES", block_bytes)
+        assert_same_patches(sample_minipatches(30, 12, 7, 4, 97, seed=3),
+                            choice_patches(30, 12, 7, 4, 97, seed=3)[1])
+
+    def test_equals_choice_loop_through_rejections(self):
+        # About 12 bounded draws are rejected and redrawn in this stream:
+        # it consumes more 32-bit words than it makes draws.
+        N, M, n, m, K = 10_000, 4, 5000, 2, 1000
+        gen, want = choice_patches(N, M, n, m, K, seed=1)
+        words = generator(1, "minipatches")
+        words.integers(0, 1 << 32, size=K * (2 * n - 1 + 2 * m - 1), dtype=np.uint64)
+        assert gen.integers(0, 1 << 32, 4).tolist() != words.integers(0, 1 << 32, 4).tolist()
+        assert_same_patches(sample_minipatches(N, M, n, m, K, seed=1), want)
+
+    def test_tail_shuffle_regime_draws_uniform_patches(self):
+        # N > 10,000 and n > N // 50, where numpy's choice would shuffle
+        # instead: still sorted, distinct, in range, and uniform per row.
+        from scipy.stats import binom
+        N, M, n, m, K = 20_000, 6, 1000, 3, 300
+        patches = sample_minipatches(N, M, n, m, K, seed=5)
+        rows = np.stack([p.rows for p in patches])
+        feats = np.stack([p.features for p in patches])
+        assert rows.shape == (K, n) and feats.shape == (K, m)
+        assert (np.diff(rows, axis=1) > 0).all() and (np.diff(feats, axis=1) > 0).all()
+        assert rows.min() >= 0 and rows.max() < N and feats.min() >= 0 and feats.max() < M
+        # each row's count is Binomial(K, n / N); two-sided 1e-3 over all rows
+        counts = np.bincount(rows.ravel(), minlength=N)
+        lo, hi = binom.ppf([0.5e-3 / N, 1 - 0.5e-3 / N], K, n / N)
+        assert lo <= counts.min() and counts.max() <= hi
+
+    def test_stream_is_pinned(self):
+        got = [(p.rows.tolist(), p.features.tolist())
+               for p in sample_minipatches(12, 7, 4, 3, 3, seed=11)]
+        assert got == [([0, 1, 8, 11], [0, 1, 5]), ([2, 3, 6, 8], [0, 4, 6]),
+                       ([5, 8, 9, 11], [0, 1, 3])]
+        patches = sample_minipatches(2000, 100, 45, 10, 2500, seed=1)
+        digest = hashlib.sha256(np.stack([p.rows for p in patches]).tobytes()
+                                + np.stack([p.features for p in patches]).tobytes())
+        assert digest.hexdigest() == (
+            "264cf4e12742edae1e8389c9d3e664500a9699bdb86a92b1c8378a5adf23bc16")
 
 
 class TestTraining:

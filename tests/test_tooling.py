@@ -39,3 +39,34 @@ def test_no_module_imports_another_modules_private_names():
                  for path in sorted(PACKAGE.glob("*.py"))
                  for line, module, name in private_imports(path.read_text())]
     assert offenders == []
+
+
+def per_element_calls(source: str) -> list[tuple[int, str]]:
+    """(line, name) of every ``frompyfunc`` or ``vectorize`` attribute or
+    import: both run Python per element behind an array interface."""
+    names = {"frompyfunc", "vectorize"}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in names:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name in names]
+    return sorted(found)
+
+
+def test_detects_per_element_calls():
+    source = ("import numpy as np\n"
+              "from numpy import vectorize as v\n"
+              "f = np.frompyfunc(abs, 1, 1)\n"
+              "g = numpy.vectorize(len)\n"
+              "h = np.fromiter(map(abs, []), float)\n")
+    assert per_element_calls(source) == [
+        (2, "vectorize"), (3, "frompyfunc"), (4, "vectorize")]
+
+
+def test_no_module_runs_python_per_element_through_numpy():
+    offenders = [f"{path.name}:{line}: {name}"
+                 for path in sorted(PACKAGE.glob("*.py"))
+                 for line, name in per_element_calls(path.read_text())]
+    assert offenders == []
