@@ -22,7 +22,7 @@ from .conformal import (
     loo_residuals, predict_intervals_batch, predict_sets_batch,
     sample_K_binomial,
 )
-from .core import Dataset, InvalidSpec, MPConfig, Task
+from .core import Dataset, InvalidSize, InvalidSpec, MPConfig, Task
 from .ensemble import thread_map, train_ensemble
 from .learners import RidgeLearner
 from .loco import infer_all, infer_feature, loco_split_baseline
@@ -135,6 +135,12 @@ def summarize_rows(experiment: str, rows: list) -> dict:
     raise InvalidSpec(f"unknown experiment {experiment!r}")
 
 
+def _check_replicates(replicates: int) -> None:
+    # with no replicate every metric would be a mean of nothing (NaN)
+    if replicates < 1:
+        raise InvalidSize(f"replicates must be >= 1, got {replicates}")
+
+
 def _rep_dataset(spec: SimSpec, rep_seed: int) -> Dataset:
     return generate(replace(spec, seed=spawn_seed(rep_seed, "data")))
 
@@ -152,6 +158,7 @@ def run_coverage(spec: SimSpec, config: MPConfig, j: int, replicates: int,
     high-precision ensemble (``target_K`` patches), which additionally
     exposes the ensemble-to-ensemble variability of the target itself.
     """
+    _check_replicates(replicates)
     draw = sampler(spec)
     if target not in ("conditional", "independent"):
         raise InvalidSpec(f"unknown target mode {target!r}")
@@ -188,6 +195,7 @@ def run_coverage(spec: SimSpec, config: MPConfig, j: int, replicates: int,
 def run_width(spec: SimSpec, config: MPConfig, j: int, n_grid: list[int],
               replicates: int, seed: int, threads: int = 1) -> BenchReport:
     """Median interval width for feature j at each training size."""
+    _check_replicates(replicates)
     if not n_grid:
         raise InvalidSpec("empty size grid")
     cells = [(N, rep) for N in n_grid for rep in range(replicates)]
@@ -212,6 +220,7 @@ def run_power(spec: SimSpec, config: MPConfig, j: int, snr_grid: list[float],
               replicates: int, seed: int, threads: int = 1) -> BenchReport:
     """Rejection rate for feature j across signal magnitudes, with the
     split-sample baseline alongside."""
+    _check_replicates(replicates)
     if not snr_grid:
         raise InvalidSpec("empty SNR grid")
     cells = [(float(snr), rep) for snr in snr_grid for rep in range(replicates)]
@@ -263,6 +272,7 @@ def run_selection(spec: SimSpec, config: MPConfig, replicates: int,
                   seed: int, threads: int = 1) -> BenchReport:
     """Multiplicity-corrected tests on every feature, scored against the
     generating support."""
+    _check_replicates(replicates)
     truth = true_support(spec)
 
     def one(rep: int) -> dict:
@@ -295,6 +305,7 @@ def run_predictive_coverage(spec: SimSpec, config: MPConfig, ensembles: int,
     each ensemble's patch count is drawn as
     Binomial(K_tilde, 1 - n/(N+1)) instead of the fixed config K.
     """
+    _check_replicates(ensembles)
     draw = sampler(spec)
 
     def one(e: int) -> list[dict]:

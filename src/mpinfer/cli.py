@@ -97,6 +97,17 @@ def _spec_from(args) -> SimSpec:
                    snr=args.snr, rho=args.rho, seed=args.seed)
 
 
+def _grid(cast):
+    """argparse type for a comma-separated list of ``cast`` values."""
+    def parse(raw: str) -> list:
+        try:
+            return [cast(v) for v in raw.split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {cast.__name__} values, got {raw!r}") from None
+    return parse
+
+
 def _target_col(raw: str):
     try:
         return int(raw)
@@ -205,13 +216,11 @@ def _cmd_bench(args) -> int:
                                         n_test=args.n_test,
                                         target=args.target_mode)
     elif kind == "width":
-        grid = [int(v) for v in args.n_grid.split(",")]
-        report = bench_mod.run_width(spec, config, args.j, grid,
+        report = bench_mod.run_width(spec, config, args.j, args.n_grid,
                                      args.replicates, args.seed,
                                      threads=args.threads)
     elif kind == "power":
-        grid = [float(v) for v in args.snr_grid.split(",")]
-        report = bench_mod.run_power(spec, config, args.j, grid,
+        report = bench_mod.run_power(spec, config, args.j, args.snr_grid,
                                      args.replicates, args.seed,
                                      threads=args.threads)
     elif kind == "selection":
@@ -275,8 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-test", type=int, default=10_000)
     p.add_argument("--target-mode", choices=["conditional", "independent"],
                    default="conditional")
-    p.add_argument("--n-grid", default="250,1000")
-    p.add_argument("--snr-grid", default="0,5,10")
+    p.add_argument("--n-grid", type=_grid(int), default="250,1000")
+    p.add_argument("--snr-grid", type=_grid(float), default="0,5,10")
     p.add_argument("--points-per-ensemble", type=int, default=100)
     p.add_argument("--binomial-k-tilde", type=int, default=None,
                    help="draw each ensemble's patch count as "
@@ -302,7 +311,7 @@ def main(argv=None) -> int:
             return EXIT_DATA
         _progress(f"error: {exc}")
         return EXIT_INTERNAL
-    except FileNotFoundError as exc:
+    except OSError as exc:
         _progress(f"data error: {exc}")
         return EXIT_DATA
     except Exception as exc:  # pragma: no cover - defensive

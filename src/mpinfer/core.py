@@ -294,7 +294,11 @@ def read_csv(path) -> tuple[list[str], list[list[str]]]:
     of a headered CSV file, each row as wide as the header; cells stay
     text.  A leading UTF-8 byte-order mark is dropped."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        rows = [r for r in csv.reader(fh) if r]
+        try:
+            rows = [r for r in csv.reader(fh) if r]
+        except UnicodeDecodeError as exc:
+            raise InvalidSpec(f"{path}: not UTF-8 text ({exc.reason} "
+                              f"at byte {exc.start})") from None
     if not rows:
         raise TooFewRows(f"{path}: empty file")
     header, rows = rows[0], rows[1:]

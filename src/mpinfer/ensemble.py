@@ -14,8 +14,13 @@ targets, all go through one blocked masked sum, :func:`patch_sums`.
 Every patch fit, the ensemble's and the oracles', goes through
 :func:`fit_patch_models`, whose fixed blocks (one batched ridge solve
 each) worker threads take whole, so output is byte-identical for any
-thread count.  A snapshot (layout 3) keeps the
-stack's arrays in its .npz beside the cache and masks.
+thread count.  An affine (ridge regression) block fills its cache rows
+with one GEMM, its coefficients scattered over all M features (the
+scatter :func:`patch_sums` uses) times X.T, plus the intercepts; so its
+cache equals single-row ``predict`` up to rounding, not bit for bit.
+Any other stack fills its cache through ``predict_batch``.  A snapshot
+(layout 3) keeps the stack's arrays in its .npz beside the cache and
+masks.
 """
 
 from __future__ import annotations
@@ -219,12 +224,12 @@ def patch_sums(models: FittedModel, feats: np.ndarray, X: np.ndarray,
     (S, T, d): entry [s] is sum_k W[k, s] * models[k](X[:, feats[k]]).
 
     One pass over blocks of patches.  Affine regression models (d = 1)
-    are summed as scattered M + 1 coefficient rows (intercept last) that
-    meet X once at the end; any other stack adds its block's predictions.
+    are summed as coefficient rows (:func:`_coef_rows`) that meet X once
+    at the end; any other stack adds its block's predictions.
     """
     (T, M), (K, S), m = X.shape, W.shape, feats.shape[1]
     d = models.pred_dim
-    affine = isinstance(models, LinearModel) and models.task == Task.REGRESSION
+    affine = _affine(models)
     width = M + 1 if affine else T * d
     acc = np.zeros((S, width))
     # per patch: a coefficient row, or a prediction row and its gathered points
@@ -232,15 +237,29 @@ def patch_sums(models: FittedModel, feats: np.ndarray, X: np.ndarray,
     for lo in range(0, K, step):
         blk, f = models.take(slice(lo, lo + step)), feats[lo:lo + step]
         if affine:
-            rows = np.zeros((f.shape[0], width))
-            rows[np.arange(f.shape[0])[:, None], f] = blk.coef[:, :, 0]
-            rows[:, M] = blk.intercept[:, 0]
+            rows = _coef_rows(blk, f, M)
         else:
             rows = blk.predict_batch(X[:, f].swapaxes(0, 1)).reshape(f.shape[0], -1)
         acc += W[lo:lo + step].astype(float).T @ rows
     if affine:
         return (acc[:, :M] @ X.T + acc[:, M:])[..., None]
     return acc.reshape(S, T, d)
+
+
+def _affine(models: FittedModel) -> bool:
+    """Whether a stack is affine in its inputs: ridge regression (d = 1)."""
+    return isinstance(models, LinearModel) and models.task == Task.REGRESSION
+
+
+def _coef_rows(models: LinearModel, feats: np.ndarray, M: int) -> np.ndarray:
+    """A stack of affine regression models as (B, M + 1) rows: each
+    model's coefficients scattered to its features, the intercept last,
+    so that rows[:, :M] @ x + rows[:, M] is its prediction at x (M,)."""
+    B = feats.shape[0]
+    rows = np.zeros((B, M + 1))
+    rows[np.arange(B)[:, None], feats] = models.coef[:, :, 0]
+    rows[:, M] = models.intercept[:, 0]
+    return rows
 
 
 def average(numer: np.ndarray, counts: np.ndarray, j: int | None = None) -> np.ndarray:
@@ -267,20 +286,32 @@ def fit_patch_models(dataset: Dataset, learner, rows: np.ndarray,
                      cache: np.ndarray | None = None) -> FittedModel:
     """A stack of ``learner`` fits, patch k on the submatrix (rows[k],
     feats[k]); with ``cache``, also cache[k] = patch k's predictions at
-    every row.  Each block's stacked designs (and rows gathered for a
-    cache) stay within _FIT_BLOCK_BYTES, so blocks are fixed by sizes,
-    not by the thread count."""
+    every row.  Each block's stacked designs stay within
+    _FIT_BLOCK_BYTES, so blocks are fixed by sizes, not by the thread
+    count.  An affine block fills its cache rows with one GEMM of its
+    coefficient rows against X; any other block predicts in sub-blocks
+    whose gathered rows stay within _FIT_BLOCK_BYTES."""
     X, Y = dataset.X, dataset.Y
     (K, n), m, d = rows.shape, feats.shape[1], dataset.pred_dim
-    size = n * (m + d) if cache is None else max(n * (m + d), X.shape[0] * m)
-    step = max(1, _FIT_BLOCK_BYTES // (8 * size))
+    N, M = X.shape
+    step = max(1, _FIT_BLOCK_BYTES // (8 * n * (m + d)))
+    sub = max(1, _FIT_BLOCK_BYTES // (8 * N * m))
 
     def fit(lo: int) -> FittedModel:
         f = feats[lo:lo + step]
         stack = fit_patches(learner, X, Y, rows[lo:lo + step], f,
                             dataset.task, dataset.n_classes)
-        if cache is not None:
-            cache[lo:lo + step] = stack.predict_batch(X[:, f].swapaxes(0, 1))
+        if cache is None:
+            return stack
+        out = cache[lo:lo + step]
+        if _affine(stack):
+            coef = _coef_rows(stack, f, M)
+            np.matmul(coef[:, :M], X.T, out=out[..., 0])
+            out[..., 0] += coef[:, M:]
+        else:
+            for a in range(0, len(f), sub):
+                out[a:a + sub] = stack.take(slice(a, a + sub)).predict_batch(
+                    X[:, f[a:a + sub]].swapaxes(0, 1))
         return stack
 
     # a stack of zero patches is still one (empty) block

@@ -6,9 +6,13 @@ patch's feature slots, to predictions (..., T, d); ``take(idx)`` selects
 patches (an integer gives a single model, with the plain shapes of one
 fit) and ``join`` appends stacks.  Stacks are immutable and safe to
 share across threads.  Linear predictions go through one einsum kernel,
-so a row predicted alone is bit-equal to the same row in any batch or
-stack.  How a model is stored is known to this module alone; snapshots
-go through :func:`to_obj` and :func:`from_obj`.
+so through ``predict_batch`` a row predicted alone is bit-equal to the
+same row in any batch or stack.  The ensemble caches of non-affine
+stacks are filled through it and share that bit-equality; an affine
+regression cache is one GEMM (see :mod:`mpinfer.ensemble`) and agrees
+with ``predict`` up to rounding only.  How a model is stored is known to
+this module alone; snapshots go through :func:`to_obj` and
+:func:`from_obj`.
 
 A process-wide fit counter records every base-learner fit; inference
 code paths are required to leave it untouched.

@@ -300,6 +300,49 @@ class TestCli:
             argv = argv + ["--N", "60", "--M", "10", "--K", "50", "--n-test", "50"]
         assert main(argv) == 3
 
+    @pytest.mark.parametrize("command", ["infer", "predict"])
+    @pytest.mark.parametrize("defect", ["directory", "not-utf8"])
+    def test_unreadable_input_is_data_error(self, tmp_path, capsys, command,
+                                            defect):
+        good = tmp_path / "good.csv"
+        good.write_text("x0,x1,target\n" + "".join(
+            ",".join(format(v, ".17g") for v in r) + "\n"
+            for r in np.random.default_rng(7).standard_normal((30, 3))))
+        bad = tmp_path / "bad.csv"
+        if defect == "directory":
+            bad.mkdir()
+        else:
+            bad.write_bytes(b"x0,x1,target\n1,\xff\xfe,3\n")
+        if command == "infer":
+            argv = ["infer", "--data", str(bad)]
+        else:
+            argv = ["predict", "--data", str(good), "--new-data", str(bad)]
+        rc = main(argv + ["--task", "regression", "--K", "50"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and str(bad) in err
+
+    @pytest.mark.parametrize("argv", [
+        ["width", "--n-grid", "a,b"],
+        ["width", "--n-grid", "60,"],
+        ["power", "--snr-grid", "x"],
+    ])
+    def test_malformed_grid_is_usage_error(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", *argv])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("experiment", ["coverage", "width", "power",
+                                            "selection", "predictive"])
+    @pytest.mark.parametrize("replicates", ["0", "-2"])
+    def test_no_replicates_is_data_error(self, capsys, experiment, replicates):
+        rc = main(["bench", experiment, "--replicates", replicates,
+                   "--N", "60", "--M", "10", "--K", "50"])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "replicates must be >= 1" in captured.err
+
     def test_missing_file_exit_code(self, capsys):
         rc = main(["infer", "--data", "/nonexistent/x.csv", "--task",
                    "regression", "--target-col", "y"])

@@ -14,7 +14,8 @@ from mpinfer.ensemble import (
     train_ensemble,
 )
 from mpinfer.learners import (
-    ConstantLearner, ConstantModel, RidgeLearner, TreeLearner, predict,
+    ConstantLearner, ConstantModel, LinearModel, RidgeLearner, TreeLearner,
+    predict,
 )
 from mpinfer.rng import generator, standard_normal
 
@@ -142,16 +143,42 @@ class TestTraining:
             want = ds.Y[patch.rows].mean()
             assert np.allclose(ens.cache[k, :, 0], want)
 
-    def test_cache_consistency_exact(self):
-        ds = toy_dataset(N=30, M=6, seed=2)
-        ens = train_ensemble(ds, MPConfig(n=6, m=3, K=80, seed=9,
-                                          learner=RidgeLearner(lam=0.001)))
+    @staticmethod
+    def cache_against_predict(task, learner):
+        """Pairs (single-row predict, cache entry) at 50 random (k, i)."""
+        ds = toy_dataset(N=30, M=6, seed=2, task=task)
+        ens = train_ensemble(ds, MPConfig(n=6, m=3, K=80, seed=9, learner=learner))
         gen = generator(0, "cache-check")
         for _ in range(50):
             k = int(gen.integers(0, ens.K))
             i = int(gen.integers(0, ds.n_rows))
-            again = predict(ens.models.take(k), ds.X[i, ens.patches[k].features])
-            assert np.array_equal(again, ens.cache[k, i])
+            yield (predict(ens.models.take(k), ds.X[i, ens.patches[k].features]),
+                   ens.cache[k, i])
+
+    def test_cache_consistency_exact(self):
+        # every cache filled through predict_batch equals single-row predict
+        for task, learner in [(Task.REGRESSION, TreeLearner(max_depth=3)),
+                              (Task.REGRESSION, ConstantLearner()),
+                              (Task.CLASSIFICATION, RidgeLearner(lam=0.001)),
+                              (Task.CLASSIFICATION, TreeLearner(max_depth=3))]:
+            for again, cached in self.cache_against_predict(task, learner):
+                assert np.array_equal(again, cached), learner
+
+    def test_ridge_regression_cache_matches_predict(self):
+        # an affine cache is one GEMM, equal to single-row predict up to
+        # rounding only
+        for again, cached in self.cache_against_predict(
+                Task.REGRESSION, RidgeLearner(lam=0.001)):
+            assert np.allclose(again, cached, rtol=0, atol=1e-12)
+
+    def test_ridge_regression_cache_skips_predict_batch(self, monkeypatch):
+        def refuse(self, Z):
+            raise AssertionError("affine cache filled through predict_batch")
+        monkeypatch.setattr(LinearModel, "predict_batch", refuse)
+        ds = toy_dataset(N=30, M=6, seed=2)
+        ens = train_ensemble(ds, MPConfig(n=6, m=3, K=80, seed=9,
+                                          learner=RidgeLearner()))
+        assert np.isfinite(ens.cache).all()
 
     def test_thread_count_determinism(self):
         ds = toy_dataset(N=40, M=8, seed=3)
@@ -173,6 +200,21 @@ class TestTraining:
                                    threads=t) for t in (1, 3, 8)]
             for other in runs[1:]:
                 assert runs[0].cache.tobytes() == other.cache.tobytes()
+
+    @pytest.mark.parametrize("block_bytes", [2500, 4500])
+    @pytest.mark.parametrize("task, learner", [
+        (Task.REGRESSION, TreeLearner(max_depth=4)),
+        (Task.REGRESSION, ConstantLearner()),
+        (Task.CLASSIFICATION, RidgeLearner()),
+    ], ids=["tree", "constant", "ridge-classification"])
+    def test_fit_blocks_do_not_move_cache(self, monkeypatch, task, learner,
+                                          block_bytes):
+        # prediction sub-blocks that do not divide the fit blocks
+        ds = toy_dataset(N=40, M=8, seed=3, task=task)
+        config = MPConfig(n=6, m=3, K=120, seed=21, learner=learner)
+        want = train_ensemble(ds, config).cache
+        monkeypatch.setattr(ensemble, "_FIT_BLOCK_BYTES", block_bytes)
+        assert train_ensemble(ds, config).cache.tobytes() == want.tobytes()
 
     def test_coverage_failure_at_build(self):
         X = np.array([[0.0, 1.0], [1.0, 0.0]])
