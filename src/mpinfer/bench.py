@@ -185,7 +185,7 @@ def run_coverage(spec: SimSpec, config: MPConfig, j: int, replicates: int,
             "covered": bool(iv.lo <= mc.value <= iv.hi),
         }
 
-    rows = thread_map(one, range(replicates), threads)
+    rows = list(thread_map(one, range(replicates), threads))
     settings = _settings(spec, config, j=j, replicates=replicates,
                          n_test=n_test, target_mode=target, target_K=target_K)
     return BenchReport("coverage", seed, settings,
@@ -209,7 +209,7 @@ def run_width(spec: SimSpec, config: MPConfig, j: int, n_grid: list[int],
         iv = infer_feature(ens, j)
         return {"N": N, "rep": rep, "width": float(iv.hi - iv.lo)}
 
-    rows = thread_map(one, cells, threads)
+    rows = list(thread_map(one, cells, threads))
     settings = _settings(spec, config, j=j, replicates=replicates,
                          n_grid=list(n_grid))
     return BenchReport("width", seed, settings,
@@ -245,7 +245,7 @@ def run_power(spec: SimSpec, config: MPConfig, j: int, snr_grid: list[float],
         row["split_reject"] = bool(base.reject)
         return row
 
-    rows = thread_map(one, cells, threads)
+    rows = list(thread_map(one, cells, threads))
     settings = _settings(spec, config, j=j, replicates=replicates,
                          snr_grid=[float(s) for s in snr_grid],
                          baseline=True)
@@ -287,7 +287,7 @@ def run_selection(spec: SimSpec, config: MPConfig, replicates: int,
         row.update(_selection_scores(selected, truth, data.n_features))
         return row
 
-    rows = thread_map(one, range(replicates), threads)
+    rows = list(thread_map(one, range(replicates), threads))
     settings = _settings(spec, config, replicates=replicates,
                          true_support=sorted(truth))
     return BenchReport("selection", seed, settings,
@@ -341,7 +341,7 @@ def run_predictive_coverage(spec: SimSpec, config: MPConfig, ensembles: int,
                 })
         return rows
 
-    nested = thread_map(one, range(ensembles), threads)
+    nested = list(thread_map(one, range(ensembles), threads))
     rows = [row for chunk in nested for row in chunk]
     settings = _settings(spec, config, ensembles=ensembles,
                          points_per_ensemble=points_per_ensemble,

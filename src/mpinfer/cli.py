@@ -5,7 +5,8 @@ bench {coverage,width,power,selection,predictive}.  Progress goes to
 stderr; stdout carries only the output path, or the report itself with
 --format json and no --out.
 
-Exit codes: 0 success, 2 usage error, 3 data error, 4 coverage failure,
+Exit codes: 0 success, 2 usage error, 3 data error (an unreadable
+input or an unwritable output file among them), 4 coverage failure,
 5 internal error.
 """
 
@@ -16,6 +17,7 @@ import csv
 import io
 import json
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -44,8 +46,21 @@ _DATA_ERRORS = (
 )
 
 
+class _Unwritable(Exception):
+    """An output file could not be written; exits as a data error."""
+
+
 def _progress(msg: str) -> None:
     print(msg, file=sys.stderr)
+
+
+@contextmanager
+def _writing(path):
+    """Turns an OSError while writing ``path`` into _Unwritable."""
+    try:
+        yield
+    except OSError as exc:
+        raise _Unwritable(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -121,7 +136,7 @@ def _load(args) -> Dataset:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf8") as fh:
+        with _writing(out), open(out, "w", encoding="utf8") as fh:
             fh.write(text)
         print(out)
     else:
@@ -132,8 +147,10 @@ def _cmd_simulate(args) -> int:
     spec = _spec_from(args)
     data = generate(spec)
     out = args.out or "simulated.csv"
-    save_dataset(data, out)
-    write_sidecar(spec, out + ".json")
+    with _writing(out):
+        save_dataset(data, out)
+    with _writing(out + ".json"):
+        write_sidecar(spec, out + ".json")
     _progress(f"wrote {data.n_rows}x{data.n_features} dataset")
     print(out)
     return EXIT_OK
@@ -305,6 +322,9 @@ def main(argv=None) -> int:
     except CoverageFailure as exc:
         _progress(f"coverage failure: {exc}")
         return EXIT_COVERAGE
+    except _Unwritable as exc:
+        _progress(str(exc))
+        return EXIT_DATA
     except MPInferError as exc:
         if type(exc).__name__ in _DATA_ERRORS:
             _progress(f"data error: {exc}")

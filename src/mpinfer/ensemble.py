@@ -2,30 +2,36 @@
 
 A minipatch is a random (rows, features) submatrix; the ensemble keeps
 its K fitted base models as one stack (see :mod:`mpinfer.learners`,
-patch k at stack index k) together with a dense K x N x d cache of each
-model's prediction at every training row, plus boolean membership masks.
-Every leave-one-out / leave-one-covariate-out query is then a masked
-average over the cache: no model is ever refit after training.
+patch k at stack index k), boolean membership masks, and the leave-out
+sums.  Every leave-one-out / leave-one-covariate-out quantity is a
+masked average of the models' predictions at the training rows, and
+only the sums are ever read, so the fit pass builds them as it goes:
+each fit block predicts at every training row into a block-sized
+buffer, adds its mask-weighted sums for LOO and for every feature's
+LOCO into one (N, 1 + M, d) accumulator, gathers its predictions at the
+B-hat pairs, and drops the buffer.  No K x N prediction array is kept,
+and no model is ever refit after training.
 
-Memory: the cache costs K*N*d doubles (e.g. K=10,000, N=2,000, d=1 is
-160 MB); LOO and LOCO are one pass of mask GEMMs over blocks of patches.
-Model predictions at new points, for new-point LOO and for the oracles'
-targets, all go through one blocked masked sum, :func:`patch_sums`.
-Every patch fit, the ensemble's and the oracles', goes through
-:func:`fit_patch_models`, whose fixed blocks (one batched ridge solve
-each) worker threads take whole, so output is byte-identical for any
-thread count.  An affine (ridge regression) block fills its cache rows
-with one GEMM, its coefficients scattered over all M features (the
-scatter :func:`patch_sums` uses) times X.T, plus the intercepts; so its
-cache equals single-row ``predict`` up to rounding, not bit for bit.
-Any other stack fills its cache through ``predict_batch``.  A snapshot
-(layout 3) keeps the stack's arrays in its .npz beside the cache and
-masks.
+Memory: the sums cost N*(1 + M)*d doubles and the counts N*(1 + M); a
+fit block's buffer is its patches times N*d doubles.  Model predictions
+at new points, for new-point LOO and for the oracles' targets, all go
+through one blocked masked sum, :func:`patch_sums`.  Every patch fit,
+the ensemble's and the oracles', goes through :func:`fit_patch_models`,
+whose fixed blocks (one batched ridge solve each) worker threads take
+whole and whose block sums are added in block order, so output is
+byte-identical for any thread count.  An affine (ridge regression)
+block predicts with one GEMM, its coefficients scattered over all M
+features (the scatter :func:`patch_sums` uses) times X.T, plus the
+intercepts; so it equals single-row ``predict`` up to rounding, not bit
+for bit.  Any other stack predicts through ``predict_batch``.  A
+snapshot (layout 4) keeps the stack's arrays in its .npz beside the
+masks, sums, counts and B-hat pair predictions.
 """
 
 from __future__ import annotations
 
 import json
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -38,18 +44,18 @@ from .core import (
 from .learners import (
     FittedModel, LinearModel, RidgeLearner, fit_patches, from_obj, to_obj,
 )
-from .rng import generator
+from .rng import generator, spawn_seed
 
 __all__ = [
     "Minipatch", "Ensemble", "sample_minipatches", "train_ensemble",
     "save_ensemble", "load_ensemble", "patch_sums", "fit_patch_models",
-    "thread_map",
+    "thread_map", "draw_pairs",
 ]
 
 _PATCH_STREAM = "minipatches"
 
 # Size of one float scratch buffer in the blocked contractions: big enough
-# for BLAS-sized GEMMs, small enough that the cache sets peak memory.
+# for BLAS-sized GEMMs, small next to the data and the sums.
 _BLOCK_BYTES = 4 << 20
 # Size of the stacked patch designs (and gathered rows) in one batched fit.
 _FIT_BLOCK_BYTES = 1 << 20
@@ -116,63 +122,84 @@ def _floyd(draws: np.ndarray, pop: int) -> np.ndarray:
 
 
 class Ensemble:
-    """K fitted minipatch models (one stack) plus the prediction cache and masks.
+    """K fitted minipatch models (one stack), their masks, and the
+    leave-out sums and counts of the fit pass.
 
-    Immutable after construction.  Query methods keep no cache of their
+    Immutable after construction.  Query methods keep no state of their
     own, so they are read-only and safe to call concurrently; every
-    answer is recomputed from the cache and masks.
+    answer is read from the sums and counts, or recomputed from the
+    stack and masks.
     """
 
     def __init__(self, dataset: Dataset, config: MPConfig,
                  patches: list[Minipatch], models: FittedModel,
-                 cache: np.ndarray, obs_mask: np.ndarray, feat_mask: np.ndarray):
+                 obs_mask: np.ndarray, feat_mask: np.ndarray,
+                 sums: np.ndarray, counts: np.ndarray,
+                 pair_preds: np.ndarray | None):
         self.dataset = dataset
         self.config = config
         self.patches = patches
         self.models = models          # stack of K models, in patch order
-        self.cache = cache            # (K, N, d)
         self.obs_mask = obs_mask      # (K, N) bool, True iff row in patch
         self.feat_mask = feat_mask    # (K, M) bool, True iff feature in patch
+        # (N, 1 + M, d) prediction sums and (N, 1 + M) patch counts: column
+        # 0 over the patches that exclude the row, column 1 + j over those
+        # that also exclude feature j
+        self.sums = sums
+        self.counts = counts
+        # (2, N, 10, d): predictions at the B-hat pairs, patches
+        # draw_pairs(obs_mask, seed=spawn_seed(seed, "estimate-b")); None
+        # when some row has fewer than two excluding patches
+        self.pair_preds = pair_preds
 
     @property
     def K(self) -> int:
         return len(self.patches)
 
-    # -- mask-by-cache contractions -------------------------------------
+    @property
+    def cache(self) -> np.ndarray:
+        """Every model's predictions at every training row, (K, N, d),
+        rebuilt from the stack in the fit pass's blocks, so bit-equal to
+        what the pass summed.  Never stored: K*N*d doubles."""
+        out = np.empty((self.K, self.dataset.n_rows, self.dataset.pred_dim))
+        for lo, stack, feats in self._blocks():
+            _block_predictions(stack, feats, self.dataset.X, out[lo:lo + len(feats)])
+        return out
+
+    def pair_predictions(self, pairs: np.ndarray) -> np.ndarray:
+        """Predictions (*pairs.shape, d) of patch pairs[..., i, p] at row
+        i, rebuilt from the stack as the fit pass gathered them."""
+        out = np.empty(pairs.shape + (self.dataset.pred_dim,))
+        for lo, stack, feats in self._blocks():
+            _gather(pairs, lo, _block_predictions(stack, feats, self.dataset.X), out)
+        return out
+
+    def _blocks(self):
+        feats = np.stack([p.features for p in self.patches])
+        step = _fit_step(len(self.patches[0].rows), feats.shape[1],
+                         self.dataset.pred_dim)
+        for lo in range(0, self.K, step):
+            yield lo, self.models.take(slice(lo, lo + step)), feats[lo:lo + step]
+
+    # -- leave-out queries -----------------------------------------------
     # Hole handling: a row whose qualifying set is empty only errors when
     # that row is actually asked for; whole-matrix consumers require full
     # coverage and fail on the first hole.
 
     def leave_out_sums(self, features=()):
-        """Sums (N, 1 + J, d) and counts (N, 1 + J) in one pass: column 0
-        over the patches that exclude the row, column 1 + j over those
-        that also exclude feature ``features[j]``."""
+        """Sums (N, 1 + J, d) and counts (N, 1 + J): column 0 over the
+        patches that exclude the row, column 1 + j over those that also
+        exclude feature ``features[j]``."""
         features = np.asarray(features, dtype=np.int64)
-        (K, N, d), M = self.cache.shape, self.feat_mask.shape[1]
+        M = self.feat_mask.shape[1]
         if features.size and not (0 <= features.min() and features.max() < M):
             raise DimensionMismatch(f"feature indices must lie in [0, {M})")
-        numer = np.zeros((N, 1 + features.size, d))
-        counts = np.zeros((N, 1 + features.size))
-        step = max(1, _BLOCK_BYTES // (8 * N))
-        for lo in range(0, K, step):
-            excl = (~self.obs_mask[lo:lo + step]).astype(float)
-            held = self.feat_mask[lo:lo + step, features].astype(float)
-            counts[:, 0] += excl.sum(axis=0)
-            counts[:, 1:] += excl.T @ held
-            for c in range(d):
-                part = excl * self.cache[lo:lo + step, :, c]
-                numer[:, 0, c] += part.sum(axis=0)
-                numer[:, 1:, c] += part.T @ held
-        # LOCO is LOO minus the patches holding j, so the LOO column does
-        # not depend on J and a feature no patch holds gets it exactly.
-        numer[:, 1:] = numer[:, :1] - numer[:, 1:]
-        counts[:, 1:] = counts[:, :1] - counts[:, 1:]
-        return numer, counts
+        cols = np.concatenate([[0], 1 + features])
+        return self.sums[:, cols], self.counts[:, cols]
 
     def loo_all(self) -> np.ndarray:
         """LOO prediction for every training row, shape (N, d)."""
-        numer, counts = self.leave_out_sums()
-        return average(numer[:, 0], counts[:, 0])
+        return average(self.sums[:, 0], self.counts[:, 0])
 
     def _loo_new_stats(self, X_new: np.ndarray):
         X_new = np.asarray(X_new, dtype=float)
@@ -182,10 +209,9 @@ class Ensemble:
             )
         if not np.isfinite(X_new).all():
             raise DimensionMismatch("new points contain non-finite entries")
-        excl = ~self.obs_mask
         numer = patch_sums(self.models, np.stack([p.features for p in self.patches]),
-                           X_new, excl)
-        return numer, excl.sum(axis=0)
+                           X_new, ~self.obs_mask)
+        return numer, self.counts[:, 0]
 
     def loo_new_all(self, X_new: np.ndarray) -> np.ndarray:
         """Per-row LOO predictions at new points, shape (N, T, d).
@@ -198,8 +224,7 @@ class Ensemble:
     # -- single-index queries -------------------------------------------
 
     def loo_prediction(self, i: int) -> np.ndarray:
-        numer, counts = self.leave_out_sums()
-        return self._at_row(i, numer[:, 0], counts[:, 0])
+        return self._at_row(i, self.sums[:, 0], self.counts[:, 0])
 
     def loo_loco_prediction(self, i: int, j: int) -> np.ndarray:
         numer, counts = self.leave_out_sums([j])
@@ -216,6 +241,55 @@ class Ensemble:
         if counts[i] == 0:
             raise CoverageFailure(i, j)
         return numer[i] / counts[i]
+
+
+def draw_pairs(obs_mask: np.ndarray, pairs_per_sample: int = 10,
+               seed: int = 0) -> np.ndarray:
+    """Patch indices (2, N, pairs_per_sample): for each row, uniform pairs
+    of distinct patches that exclude it; deterministic in the masks and
+    the seed.  Raises CoverageFailure on the first row that fewer than
+    two patches exclude."""
+    K, N = obs_mask.shape
+    flat = np.flatnonzero(obs_mask)                     # k * N + i
+    return _draw_pairs(flat % N * K + flat // N, K, N, pairs_per_sample, seed)
+
+
+def _draw_pairs(held: np.ndarray, K: int, N: int, pairs_per_sample: int,
+                seed: int) -> np.ndarray:
+    """:func:`draw_pairs` from the codes i * K + k of the (patch k, row
+    i) memberships, in any order."""
+    if pairs_per_sample < 1:
+        raise InvalidSize("pairs_per_sample must be >= 1")
+    held = np.sort(held)                                # i * K + k, by row
+    starts = np.searchsorted(held, np.arange(N) * K)
+    counts = K - np.diff(starts, append=held.size)      # patches excluding i
+    short = np.nonzero(counts < 2)[0]
+    if short.size:
+        raise CoverageFailure(int(short[0]))
+    # With s_0 < s_1 < ... the patches holding row i, the (r+1)-th patch
+    # excluding it is r + #{j : s_j - j <= r}; keys hold i * (K+1) + s_j - j.
+    rows = held // K
+    keys = held + rows - np.arange(held.size) + starts[rows]
+    base = np.arange(N)[:, None] * (K + 1)
+
+    def excluding(ranks):
+        return ranks + np.searchsorted(keys, base + ranks, side="right") - starts[:, None]
+
+    gen = generator(seed, "pair-gaps")
+    size = (N, pairs_per_sample)
+    first = gen.integers(0, counts[:, None], size=size)
+    second = gen.integers(0, counts[:, None] - 1, size=size)
+    second += second >= first
+    return np.stack([excluding(first), excluding(second)])
+
+
+def _gather(pairs: np.ndarray, lo: int, preds: np.ndarray, out: np.ndarray) -> None:
+    """out[..., i, p, :] = preds[pairs[..., i, p] - lo, i] for the pairs
+    whose patch lies in the block of patches lo.. that preds (B, N, d)
+    holds."""
+    P, N = pairs.shape[-1], preds.shape[1]
+    hit = np.flatnonzero((pairs >= lo) & (pairs < lo + preds.shape[0]))
+    out.reshape(-1, preds.shape[2])[hit] = preds[pairs.ravel()[hit] - lo, hit // P % N]
 
 
 def patch_sums(models: FittedModel, feats: np.ndarray, X: np.ndarray,
@@ -271,67 +345,116 @@ def average(numer: np.ndarray, counts: np.ndarray, j: int | None = None) -> np.n
     return numer / counts.reshape(-1, *[1] * (numer.ndim - 1))
 
 
-def thread_map(fn, items, threads: int = 1) -> list:
-    """``[fn(x) for x in items]`` on up to ``threads`` worker threads,
-    results in input order."""
+def thread_map(fn, items, threads: int = 1):
+    """Iterator over ``fn(x) for x in items`` on up to ``threads`` worker
+    threads, in input order, with at most ``threads`` results pending."""
     items, threads = list(items), max(1, int(threads))
     if threads == 1 or len(items) < 2:
-        return [fn(x) for x in items]
+        yield from map(fn, items)
+        return
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+        pending = deque(pool.submit(fn, x) for x in items[:threads])
+        for x in items[threads:]:
+            done = pending.popleft()
+            pending.append(pool.submit(fn, x))
+            yield done.result()
+        while pending:
+            yield pending.popleft().result()
+
+
+def _fit_step(n: int, m: int, d: int) -> int:
+    """Patches per fit block: their stacked designs stay within
+    _FIT_BLOCK_BYTES."""
+    return max(1, _FIT_BLOCK_BYTES // (8 * n * (m + d)))
+
+
+def _block_predictions(stack: FittedModel, feats: np.ndarray, X: np.ndarray,
+                       out: np.ndarray | None = None) -> np.ndarray:
+    """Predictions (B, N, d) of a block of patch models at every row of
+    X.  An affine block is one GEMM of its coefficient rows against X;
+    any other block predicts in sub-blocks whose gathered rows stay
+    within _FIT_BLOCK_BYTES."""
+    (N, M), (B, m) = X.shape, feats.shape
+    if out is None:
+        out = np.empty((B, N, stack.pred_dim))
+    if _affine(stack):
+        coef = _coef_rows(stack, feats, M)
+        np.matmul(coef[:, :M], X.T, out=out[..., 0])
+        out[..., 0] += coef[:, M:]
+        return out
+    sub = max(1, _FIT_BLOCK_BYTES // (8 * N * m))
+    for a in range(0, B, sub):
+        out[a:a + sub] = stack.take(slice(a, a + sub)).predict_batch(
+            X[:, feats[a:a + sub]].swapaxes(0, 1))
+    return out
 
 
 def fit_patch_models(dataset: Dataset, learner, rows: np.ndarray,
                      feats: np.ndarray, threads: int = 1,
-                     cache: np.ndarray | None = None) -> FittedModel:
+                     each_block=None) -> FittedModel:
     """A stack of ``learner`` fits, patch k on the submatrix (rows[k],
-    feats[k]); with ``cache``, also cache[k] = patch k's predictions at
-    every row.  Each block's stacked designs stay within
+    feats[k]).  Each block's stacked designs stay within
     _FIT_BLOCK_BYTES, so blocks are fixed by sizes, not by the thread
-    count.  An affine block fills its cache rows with one GEMM of its
-    coefficient rows against X; any other block predicts in sub-blocks
-    whose gathered rows stay within _FIT_BLOCK_BYTES."""
+    count.  With ``each_block``, each block also predicts at every
+    training row (:func:`_block_predictions`, on its worker thread) and
+    ``each_block(lo, preds)`` takes those (B, N, d) predictions of
+    patches lo.. on the calling thread, in block order; the buffer is
+    dropped after the call."""
     X, Y = dataset.X, dataset.Y
-    (K, n), m, d = rows.shape, feats.shape[1], dataset.pred_dim
-    N, M = X.shape
-    step = max(1, _FIT_BLOCK_BYTES // (8 * n * (m + d)))
-    sub = max(1, _FIT_BLOCK_BYTES // (8 * N * m))
+    step = _fit_step(rows.shape[1], feats.shape[1], dataset.pred_dim)
 
-    def fit(lo: int) -> FittedModel:
+    def fit(lo: int):
         f = feats[lo:lo + step]
         stack = fit_patches(learner, X, Y, rows[lo:lo + step], f,
                             dataset.task, dataset.n_classes)
-        if cache is None:
-            return stack
-        out = cache[lo:lo + step]
-        if _affine(stack):
-            coef = _coef_rows(stack, f, M)
-            np.matmul(coef[:, :M], X.T, out=out[..., 0])
-            out[..., 0] += coef[:, M:]
-        else:
-            for a in range(0, len(f), sub):
-                out[a:a + sub] = stack.take(slice(a, a + sub)).predict_batch(
-                    X[:, f[a:a + sub]].swapaxes(0, 1))
-        return stack
+        return lo, stack, None if each_block is None else _block_predictions(stack, f, X)
 
+    parts = []
     # a stack of zero patches is still one (empty) block
-    parts = thread_map(fit, range(0, max(K, 1), step), threads)
+    for lo, stack, preds in thread_map(fit, range(0, max(rows.shape[0], 1), step), threads):
+        if each_block is not None:
+            each_block(lo, preds)
+        parts.append(stack)
+        del preds                   # before the next block's buffer exists
     return parts[0].join(*parts[1:])
+
+
+def _leave_out_counts(rows: np.ndarray, feats: np.ndarray, N: int,
+                      M: int) -> np.ndarray:
+    """Patch counts (N, 1 + M) of patches (rows, feats): column 0 counts
+    the patches that exclude the row, column 1 + j those that also
+    exclude feature j, i.e. K minus those holding the row, minus those
+    holding j, plus those holding both.  Exact integer counts; the
+    (row, feature) codes of a block of patches stay within _BLOCK_BYTES."""
+    (K, n), m = rows.shape, feats.shape[1]
+    held_i = np.bincount(rows.ravel(), minlength=N)
+    held_j = np.bincount(feats.ravel(), minlength=M)
+    both = np.zeros(N * M, dtype=np.int64)
+    step = max(1, _BLOCK_BYTES // (8 * n * m))
+    for lo in range(0, K, step):
+        pairs = rows[lo:lo + step, :, None] * M + feats[lo:lo + step, None, :]
+        both += np.bincount(pairs.ravel(), minlength=N * M)
+    counts = np.empty((N, 1 + M))
+    counts[:, 0] = K - held_i
+    counts[:, 1:] = (K - held_i[:, None] - held_j) + both.reshape(N, M)
+    return counts
 
 
 def train_ensemble(dataset: Dataset, config: MPConfig, threads: int = 1,
                    check_coverage: bool = True,
                    patches: list[Minipatch] | None = None) -> Ensemble:
-    """Fit one model per minipatch and cache its predictions everywhere.
+    """Fit one model per minipatch and sum its predictions into the
+    leave-out sums in the same pass.
 
-    The patch list is generated serially from the seed before any
-    parallel work, and patches are fitted in fixed blocks that threads
-    take whole, so the result is byte-identical for any ``threads``.
-    ``patches`` overrides the random draw (used by the
-    exhaustive-enumeration checks).  With ``check_coverage`` every
-    row must be excluded by some patch and every (row, feature) pair
-    jointly excluded by some patch, otherwise :class:`CoverageFailure`
-    is raised at once instead of surfacing on a later query.
+    The patch list and the B-hat pairs are drawn serially from the seed
+    before any parallel work, and patches are fitted in fixed blocks
+    that threads take whole and whose sums are added in block order, so
+    the result is byte-identical for any ``threads``.  ``patches``
+    overrides the random draw (used by the exhaustive-enumeration
+    checks).  With ``check_coverage`` every row must be excluded by some
+    patch and every (row, feature) pair jointly excluded by some patch,
+    otherwise :class:`CoverageFailure` is raised before any fit instead
+    of surfacing on a later query.
     """
     if patches is None:
         config = config.resolve(dataset.n_rows, dataset.n_features)
@@ -349,41 +472,62 @@ def train_ensemble(dataset: Dataset, config: MPConfig, threads: int = 1,
     K, d = len(patches), dataset.pred_dim
     rows = np.stack([p.rows for p in patches])
     feats = np.stack([p.features for p in patches])
-    obs_mask = np.zeros((K, N), dtype=bool)
     feat_mask = np.zeros((K, M), dtype=bool)
-    obs_mask[np.arange(K)[:, None], rows] = True
     feat_mask[np.arange(K)[:, None], feats] = True
 
+    counts = _leave_out_counts(rows, feats, N, M)
     if check_coverage:
-        row_excl = ~obs_mask
-        uncovered = np.nonzero(~row_excl.any(axis=0))[0]
+        uncovered = np.nonzero(counts[:, 0] == 0)[0]
         if uncovered.size:
             raise CoverageFailure(int(uncovered[0]))
-        # joint (row, feature) exclusion counts via one matmul
-        counts = row_excl.T.astype(float) @ (~feat_mask).astype(float)
-        holes = np.argwhere(counts == 0)
+        holes = np.argwhere(counts[:, 1:] == 0)
         if holes.size:
             i, j = holes[0]
             raise CoverageFailure(int(i), int(j))
+    try:
+        pairs = _draw_pairs((rows * K + np.arange(K)[:, None]).ravel(), K, N, 10,
+                            spawn_seed(config.seed, "estimate-b"))
+        pair_preds = np.empty(pairs.shape + (d,))
+    except CoverageFailure:
+        pairs = pair_preds = None   # B-hat fails if asked for
+
+    sums = np.zeros((N, 1 + M, d))
+
+    def add(lo: int, preds: np.ndarray) -> None:
+        block = slice(lo, lo + len(preds))
+        if pairs is not None:
+            _gather(pairs, lo, preds, pair_preds)
+        # the block's buffer is ours: zero the rows each patch holds
+        preds[np.arange(len(preds))[:, None], rows[block]] = 0.0
+        sums[:, 0] += preds.sum(axis=0)
+        held = feat_mask[block].astype(float)
+        for c in range(d):
+            sums[:, 1:, c] += preds[:, :, c].T @ held
 
     learner = config.learner if config.learner is not None else RidgeLearner()
-    cache = np.empty((K, N, d), dtype=float)
-    models = fit_patch_models(dataset, learner, rows, feats, threads, cache)
-    return Ensemble(dataset, config, patches, models, cache, obs_mask, feat_mask)
+    models = fit_patch_models(dataset, learner, rows, feats, threads, add)
+    sums[:, 1:] = sums[:, :1] - sums[:, 1:]
+    # built after the pass, so that the pass's peak does not hold it
+    obs_mask = np.zeros((K, N), dtype=bool)
+    obs_mask[np.arange(K)[:, None], rows] = True
+    return Ensemble(dataset, config, patches, models, obs_mask, feat_mask,
+                    sums, counts, pair_preds)
 
 
 # -- snapshot --------------------------------------------------------------
-# Layout (version 3, not stable across package versions): one .npz holding
-# the dataset arrays, patch index matrices, masks, cache, the model stack's
-# arrays under "model_<field>", and a JSON header with the config echo, the
-# learner's name and parameters, and the stack's type name and scalars.
+# Layout (version 4, not stable across package versions): one .npz holding
+# the dataset arrays, patch index matrices, masks, leave-out sums and
+# counts, the B-hat pair predictions (absent when there are none), the
+# model stack's arrays under "model_<field>", and a JSON header with the
+# config echo, the learner's name and parameters, and the stack's type
+# name and scalars.
 
 
 def save_ensemble(ens: Ensemble, path) -> None:
     model, arrays = to_obj(ens.models, "model")
     learner = ens.config.learner
     header = {
-        "version": 3,
+        "version": 4,
         "task": ens.dataset.task.value,
         "n_classes": ens.dataset.n_classes,
         "feature_names": list(ens.dataset.feature_names or []),
@@ -394,10 +538,12 @@ def save_ensemble(ens: Ensemble, path) -> None:
     }
     rows = np.stack([p.rows for p in ens.patches])
     feats = np.stack([p.features for p in ens.patches])
+    pairs = {} if ens.pair_preds is None else {"pair_preds": ens.pair_preds}
     np.savez_compressed(
         path, header=np.frombuffer(json.dumps(header).encode("utf8"), dtype=np.uint8),
         X=ens.dataset.X, Y=ens.dataset.Y, rows=rows, feats=feats,
-        cache=ens.cache, obs_mask=ens.obs_mask, feat_mask=ens.feat_mask,
+        obs_mask=ens.obs_mask, feat_mask=ens.feat_mask, sums=ens.sums,
+        counts=ens.counts, **pairs,
         **{f"model_{name}": a for name, a in arrays.items()},
     )
 
@@ -405,7 +551,7 @@ def save_ensemble(ens: Ensemble, path) -> None:
 def load_ensemble(path) -> Ensemble:
     with np.load(path, allow_pickle=False) as zf:
         header = json.loads(bytes(zf["header"]).decode("utf8"))
-        if header.get("version") != 3:
+        if header.get("version") != 4:
             raise InvalidSpec(f"unsupported snapshot version {header.get('version')}")
         task = Task(header["task"])
         dataset = Dataset(
@@ -425,6 +571,6 @@ def load_ensemble(path) -> Ensemble:
         models = from_obj(header["model"], "model", {
             name.removeprefix("model_"): zf[name]
             for name in zf.files if name.startswith("model_")})
-        return Ensemble(dataset, config, patches, models,
-                        zf["cache"].copy(), zf["obs_mask"].copy(),
-                        zf["feat_mask"].copy())
+        return Ensemble(dataset, config, patches, models, zf["obs_mask"],
+                        zf["feat_mask"], zf["sums"], zf["counts"],
+                        zf["pair_preds"] if "pair_preds" in zf.files else None)

@@ -7,10 +7,11 @@ patches (an integer gives a single model, with the plain shapes of one
 fit) and ``join`` appends stacks.  Stacks are immutable and safe to
 share across threads.  Linear predictions go through one einsum kernel,
 so through ``predict_batch`` a row predicted alone is bit-equal to the
-same row in any batch or stack.  The ensemble caches of non-affine
-stacks are filled through it and share that bit-equality; an affine
-regression cache is one GEMM (see :mod:`mpinfer.ensemble`) and agrees
-with ``predict`` up to rounding only.  How a model is stored is known to
+same row in any batch or stack.  The ensemble's fit pass predicts at
+its training rows through it for non-affine stacks, which share that
+bit-equality; an affine regression block is one GEMM (see
+:mod:`mpinfer.ensemble`) and agrees with ``predict`` up to rounding
+only.  How a model is stored is known to
 this module alone; snapshots go through :func:`to_obj` and
 :func:`from_obj`.
 

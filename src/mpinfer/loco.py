@@ -8,8 +8,9 @@ coverage when the score variance collapses for null features.  The
 one-sided test rejects H0: importance <= 0 when the studentised mean
 clears the upper-alpha normal quantile.
 
-Everything here is a read-only consumer of the ensemble cache: no model
-is refit during inference.
+Everything here reads the leave-out sums, counts and B-hat pair
+predictions that the ensemble's fit pass made: no model is refit during
+inference.
 """
 
 from __future__ import annotations
@@ -27,14 +28,14 @@ from .core import (
     CoverageFailure, Dataset, DegenerateDenominator, DimensionMismatch,
     InvalidSize, TooFewRows, error_vector,
 )
-from .ensemble import Ensemble, average
+from .ensemble import Ensemble, average, draw_pairs
 from .normal import norm_ppf, norm_sf
-from .rng import generator, spawn_seed
+from .rng import generator
 
 __all__ = [
     "OcclusionResult", "FeatureInterval", "TestResult", "InferenceReport",
     "occlusion_scores", "plain_interval", "buffered_interval",
-    "estimate_B", "variance_barrier", "test_feature", "infer_all",
+    "estimate_B", "mean_pair_gap", "variance_barrier", "test_feature", "infer_all",
     "infer_feature", "loco_split_baseline", "report_to_csv", "report_to_json",
 ]
 
@@ -149,38 +150,25 @@ def buffered_interval(res: OcclusionResult, alpha: float, epsilon_n: float,
 
 
 def estimate_B(ens: Ensemble, pairs_per_sample: int = 10, seed: int = 0) -> float:
-    """Estimate the prediction-difference bound from cached predictions.
+    """Estimate the prediction-difference bound from the models'
+    predictions at the training rows.
 
     For each row, sample uniform pairs of distinct patches that exclude it
-    and average the Euclidean gap between the two cached predictions at the
-    row; the estimate averages those per-row means.
+    (:func:`mpinfer.ensemble.draw_pairs`) and average the Euclidean gap
+    between the two predictions at the row; the estimate averages those
+    per-row means.  The predictions are rebuilt from the stack; the fit
+    pass gathered those of ``pairs_per_sample=10`` and
+    ``seed=spawn_seed(config.seed, "estimate-b")`` already, and
+    inference reads them from there.
     """
-    if pairs_per_sample < 1:
-        raise InvalidSize("pairs_per_sample must be >= 1")
-    K, N = ens.obs_mask.shape
-    flat = np.flatnonzero(ens.obs_mask)                 # k * N + i
-    held = np.sort(flat % N * K + flat // N)            # i * K + k, by row
-    starts = np.searchsorted(held, np.arange(N) * K)
-    counts = K - np.diff(starts, append=held.size)      # patches excluding i
-    short = np.nonzero(counts < 2)[0]
-    if short.size:
-        raise CoverageFailure(int(short[0]))
-    # With s_0 < s_1 < ... the patches holding row i, the (r+1)-th patch
-    # excluding it is r + #{j : s_j - j <= r}; keys hold i * (K+1) + s_j - j.
-    rows = held // K
-    keys = held + rows - np.arange(held.size) + starts[rows]
-    base = np.arange(N)[:, None] * (K + 1)
+    pairs = draw_pairs(ens.obs_mask, pairs_per_sample, seed)
+    return mean_pair_gap(ens.pair_predictions(pairs))
 
-    def excluding(ranks):
-        return ranks + np.searchsorted(keys, base + ranks, side="right") - starts[:, None]
 
-    gen = generator(seed, "pair-gaps")
-    size = (N, pairs_per_sample)
-    first = gen.integers(0, counts[:, None], size=size)
-    second = gen.integers(0, counts[:, None] - 1, size=size)
-    second += second >= first
-    i = np.arange(N)[:, None]
-    diff = ens.cache[excluding(first), i] - ens.cache[excluding(second), i]
+def mean_pair_gap(pair_preds: np.ndarray) -> float:
+    """B-hat from predictions (2, N, pairs, d) at each row's patch pairs:
+    the mean over rows of the mean Euclidean gap within a pair."""
+    diff = pair_preds[0] - pair_preds[1]
     gaps = np.sqrt((diff * diff).sum(axis=2))               # (N, pairs)
     return float(gaps.mean(axis=1).mean())
 
@@ -219,18 +207,20 @@ class InferenceReport:
     feature_names: tuple[str, ...] | None = None
 
 
-def _barrier(ens: Ensemble, pairs_per_sample: int = 10) -> tuple[float, float]:
-    """(B-hat, epsilon_N) under the config's buffer settings and seed."""
+def _barrier(ens: Ensemble) -> tuple[float, float]:
+    """(B-hat, epsilon_N) under the config's buffer settings, from the
+    fit pass's pair predictions."""
     cfg = ens.config
     if not cfg.use_buffer:
         return 0.0, 0.0
-    b_hat = estimate_B(ens, pairs_per_sample=pairs_per_sample,
-                       seed=spawn_seed(cfg.seed, "estimate-b"))
+    if ens.pair_preds is None:
+        raise CoverageFailure(int(np.argmax(ens.counts[:, 0] < 2)))
+    b_hat = mean_pair_gap(ens.pair_preds)
     return b_hat, variance_barrier(b_hat, cfg.n, ens.dataset.n_rows, c=cfg.buffer_c)
 
 
 def infer_all(ens: Ensemble, alpha: float | None = None,
-              bonferroni: bool = False, pairs_per_sample: int = 10) -> InferenceReport:
+              bonferroni: bool = False) -> InferenceReport:
     """Interval and test for every feature off one fitted ensemble.
 
     One prediction-difference estimate and one barrier value are shared
@@ -244,7 +234,7 @@ def infer_all(ens: Ensemble, alpha: float | None = None,
         alpha = cfg.alpha
     M = ds.n_features
     level = alpha / M if bonferroni else alpha
-    b_hat, eps = _barrier(ens, pairs_per_sample)
+    b_hat, eps = _barrier(ens)
 
     intervals: list[FeatureInterval | None] = []
     failures: dict[int, str] = {}

@@ -42,8 +42,8 @@ class ExhaustiveEnsemble:
     """Every C(N, n) * C(M, m) minipatch fitted exactly once.
 
     Queries loop over the stored patches and average plainly, keeping
-    this implementation an independent check on the masked-cache
-    aggregation path.
+    this implementation an independent check on the fit pass's masked
+    leave-out sums.
     """
 
     def __init__(self, dataset: Dataset, n: int, m: int, learner):

@@ -322,6 +322,32 @@ class TestCli:
         err = capsys.readouterr().err
         assert "data error" in err and str(bad) in err
 
+    @pytest.mark.parametrize("command", ["simulate", "infer", "bench"])
+    def test_unwritable_output_names_the_file(self, tmp_path, capsys, command):
+        data = tmp_path / "data.csv"
+        data.write_text("x0,x1,x2,x3,target\n" + "".join(
+            ",".join(format(v, ".17g") for v in r) + "\n"
+            for r in np.random.default_rng(8).standard_normal((30, 5))))
+        out = tmp_path / "missing" / "out.csv"
+        argv = {
+            "simulate": ["simulate", "--N", "60", "--M", "10"],
+            "infer": ["infer", "--data", str(data), "--task", "regression",
+                      "--K", "50"],
+            "bench": ["bench", "coverage", "--N", "60", "--M", "10", "--K", "50",
+                      "--replicates", "1", "--n-test", "50"],
+        }[command]
+        assert main(argv + ["--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"cannot write {out}: No such file or directory" in captured.err
+        assert "data error" not in captured.err
+
+    def test_unwritable_sidecar_names_the_file(self, tmp_path, capsys):
+        out = tmp_path / "sim.csv"
+        (tmp_path / "sim.csv.json").mkdir()
+        assert main(["simulate", "--N", "60", "--M", "10", "--out", str(out)]) == 3
+        assert f"cannot write {out}.json: Is a directory" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["width", "--n-grid", "a,b"],
         ["width", "--n-grid", "60,"],

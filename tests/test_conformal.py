@@ -73,22 +73,29 @@ def interval_fixture(N=25, M=6, seed=0, K=150):
     return ds, ens, loo_residuals(ens)
 
 
+def constant_ensemble(ds, value, K):
+    """K patches that exclude every row and hold feature 0, each model
+    predicting ``value`` (d,) everywhere, with the fit pass's sums,
+    counts and pair predictions that this gives."""
+    N, value = ds.n_rows, np.asarray(value, dtype=float)
+    patches = [Minipatch(rows=np.array([0]), features=np.array([0]))
+               for _ in range(K)]
+    models = ConstantModel(value=np.tile(value, (K, 1)), n_slots=1)
+    obs = np.zeros((K, N), dtype=bool)
+    feat = np.zeros((K, 2), dtype=bool)
+    feat[:, 0] = True
+    counts = np.tile([K, 0.0, K], (N, 1))     # LOO, LOCO 0, LOCO 1
+    return Ensemble(ds, MPConfig(n=1, m=1, K=K, seed=0), patches, models,
+                    obs, feat, counts[:, :, None] * value, counts,
+                    np.broadcast_to(value, (2, N, 10, value.size)))
+
+
 def handmade_classifier(prob_vector, N=9, n_classes=2):
     """Ensemble whose every LOO prediction is the given probability vector."""
     X = np.arange(N * 2.0).reshape(N, 2)
     ds = Dataset(X=X, Y=np.zeros(N, dtype=int), task=Task.CLASSIFICATION,
                  n_classes=n_classes)
-    K = 4
-    patches = [Minipatch(rows=np.array([0]), features=np.array([0]))
-               for _ in range(K)]
-    models = ConstantModel(value=np.tile(np.asarray(prob_vector, dtype=float),
-                                         (K, 1)), n_slots=1)
-    cache = np.tile(np.asarray(prob_vector, dtype=float), (K, N, 1))
-    obs = np.zeros((K, N), dtype=bool)
-    feat = np.zeros((K, 2), dtype=bool)
-    feat[:, 0] = True
-    return Ensemble(ds, MPConfig(n=1, m=1, K=K, seed=0), patches, models,
-                    cache, obs, feat)
+    return constant_ensemble(ds, prob_vector, K=4)
 
 
 class TestPredictInterval:
@@ -142,16 +149,7 @@ def handmade_regressor_zero(N, level=0.0):
     """Regression ensemble predicting `level` everywhere, all rows excluded."""
     X = np.arange(N * 2.0).reshape(N, 2)
     ds = Dataset(X=X, Y=np.zeros(N), task=Task.REGRESSION)
-    K = 3
-    patches = [Minipatch(rows=np.array([0]), features=np.array([0]))
-               for _ in range(K)]
-    models = ConstantModel(value=np.full((K, 1), level), n_slots=1)
-    cache = np.full((K, N, 1), level)
-    obs = np.zeros((K, N), dtype=bool)
-    feat = np.zeros((K, 2), dtype=bool)
-    feat[:, 0] = True
-    return Ensemble(ds, MPConfig(n=1, m=1, K=K, seed=0), patches, models,
-                    cache, obs, feat)
+    return constant_ensemble(ds, [level], K=3)
 
 
 class TestPredictSet:

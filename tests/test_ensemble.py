@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,14 +11,15 @@ from mpinfer.core import (
 )
 from mpinfer import ensemble
 from mpinfer.ensemble import (
-    Minipatch, load_ensemble, sample_minipatches, save_ensemble,
+    Minipatch, draw_pairs, load_ensemble, sample_minipatches, save_ensemble,
     train_ensemble,
 )
 from mpinfer.learners import (
     ConstantLearner, ConstantModel, LinearModel, RidgeLearner, TreeLearner,
     predict,
 )
-from mpinfer.rng import generator, standard_normal
+from mpinfer.loco import estimate_B, infer_all, report_to_json
+from mpinfer.rng import generator, spawn_seed, standard_normal
 
 
 def toy_dataset(N=12, M=5, seed=0, task=Task.REGRESSION):
@@ -180,15 +182,21 @@ class TestTraining:
                                           learner=RidgeLearner()))
         assert np.isfinite(ens.cache).all()
 
-    def test_thread_count_determinism(self):
+    @staticmethod
+    def assert_same_pass(a, b):
+        """The fit pass's stored results are byte-identical."""
+        for name in ("sums", "counts", "pair_preds", "obs_mask"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+    def test_thread_count_determinism(self, monkeypatch):
+        # small fit blocks, so the threads split the patches between them
+        monkeypatch.setattr(ensemble, "_FIT_BLOCK_BYTES", 2000)
         ds = toy_dataset(N=40, M=8, seed=3)
         runs = [train_ensemble(ds, MPConfig(n=6, m=3, K=120, seed=21,
                                             learner=TreeLearner(max_depth=4)),
                                threads=t) for t in (1, 4, 8)]
-        base = runs[0]
         for other in runs[1:]:
-            assert base.cache.tobytes() == other.cache.tobytes()
-            assert base.obs_mask.tobytes() == other.obs_mask.tobytes()
+            self.assert_same_pass(runs[0], other)
 
     def test_ridge_thread_count_determinism(self, monkeypatch):
         # small fit blocks, so the threads split the patches between them
@@ -199,7 +207,7 @@ class TestTraining:
                                                 learner=RidgeLearner()),
                                    threads=t) for t in (1, 3, 8)]
             for other in runs[1:]:
-                assert runs[0].cache.tobytes() == other.cache.tobytes()
+                self.assert_same_pass(runs[0], other)
 
     @pytest.mark.parametrize("block_bytes", [2500, 4500])
     @pytest.mark.parametrize("task, learner", [
@@ -314,6 +322,40 @@ class TestAggregation:
         assert pooled == pytest.approx(ens.loo_prediction(i)[0], abs=1e-12)
 
 
+class TestFitPass:
+    def test_no_k_by_n_float_array(self):
+        # training and inference never hold a (K, N) float array: the
+        # traced peak stays below half of one
+        gen = generator(1, "pass-memory")
+        N, M, K = 1500, 40, 2000
+        X = standard_normal(gen, (N, M))
+        ds = Dataset(X=X, Y=X[:, 0] + standard_normal(gen, N), task=Task.REGRESSION)
+        tracemalloc.start()
+        try:
+            infer_all(train_ensemble(ds, MPConfig(K=K, seed=4)), bonferroni=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < K * N * 8 / 2
+
+    @pytest.mark.parametrize("task, learner", [
+        (Task.REGRESSION, RidgeLearner()),
+        (Task.REGRESSION, TreeLearner(max_depth=3)),
+        (Task.CLASSIFICATION, TreeLearner(max_depth=3)),
+    ], ids=["ridge", "tree", "tree-classification"])
+    def test_in_pass_b_hat_equals_estimate_B(self, monkeypatch, task, learner):
+        # small fit blocks, so the pairs are gathered across many blocks
+        monkeypatch.setattr(ensemble, "_FIT_BLOCK_BYTES", 2000)
+        ds = toy_dataset(N=30, M=6, seed=15, task=task)
+        config = MPConfig(n=6, m=3, K=80, seed=7, learner=learner)
+        ens = train_ensemble(ds, config)
+        seed = spawn_seed(config.seed, "estimate-b")
+        assert infer_all(ens).b_hat == estimate_B(ens, 10, seed)
+        pairs = draw_pairs(ens.obs_mask, 10, seed)
+        assert np.array_equal(ens.pair_preds,
+                              ens.cache[pairs, np.arange(ds.n_rows)[:, None]])
+
+
 class TestSnapshot:
     @pytest.mark.parametrize("learner", [RidgeLearner(lam=0.01),
                                          TreeLearner(max_depth=3, min_leaf=2),
@@ -368,6 +410,47 @@ class TestSnapshot:
         self._edit_header(path, lambda h: h.update(version=2))
         with pytest.raises(InvalidSpec):
             load_ensemble(path)
+
+    def test_layout_3_refused(self, tmp_path):
+        # layout 3 kept the (K, N, d) cache instead of the sums
+        ens, path = self._saved(tmp_path)
+        with np.load(path) as zf:
+            arrays = {name: zf[name] for name in zf.files
+                      if name not in ("sums", "counts", "pair_preds")}
+        np.savez_compressed(path, cache=ens.cache, **arrays)
+        self._edit_header(path, lambda h: h.update(version=3))
+        with pytest.raises(InvalidSpec, match="version 3"):
+            load_ensemble(path)
+
+    @pytest.mark.parametrize("task, learner", [
+        (Task.REGRESSION, RidgeLearner()),
+        (Task.CLASSIFICATION, TreeLearner(max_depth=3)),
+    ])
+    def test_layout_4_round_trip(self, tmp_path, task, learner):
+        ds = toy_dataset(N=30, M=6, seed=14, task=task)
+        ens = train_ensemble(ds, MPConfig(n=6, m=3, K=80, seed=2, learner=learner))
+        path = tmp_path / "snap.npz"
+        save_ensemble(ens, path)
+        with np.load(path) as zf:
+            assert "cache" not in zf.files
+        back = load_ensemble(path)
+        assert back.loo_all().tobytes() == ens.loo_all().tobytes()
+        assert report_to_json(infer_all(back, bonferroni=True)) == \
+            report_to_json(infer_all(ens, bonferroni=True))
+        for name in ("sums", "counts", "pair_preds"):
+            assert getattr(back, name).tobytes() == getattr(ens, name).tobytes()
+
+    def test_round_trip_without_pairs(self, tmp_path):
+        # rows that fewer than two patches exclude leave no B-hat pairs
+        ds = toy_dataset(N=4, M=3, seed=5)
+        patches = [Minipatch(rows=np.array([0, 1, 2]), features=np.array([0]))]
+        ens = train_ensemble(ds, MPConfig(seed=0, learner=ConstantLearner()),
+                             patches=patches, check_coverage=False)
+        path = tmp_path / "snap.npz"
+        save_ensemble(ens, path)
+        back = load_ensemble(path)
+        assert ens.pair_preds is None and back.pair_preds is None
+        assert np.array_equal(back.loo_prediction(3), ens.loo_prediction(3))
 
     @pytest.mark.parametrize("name", ["Minipatch", "Ensemble", "FittedModel"])
     def test_unknown_model_type_refused(self, tmp_path, name):

@@ -7,12 +7,12 @@ from scipy.stats import norm as scipy_norm
 from mpinfer.core import (
     CoverageFailure, Dataset, DegenerateDenominator, MPConfig, Task,
 )
-from mpinfer.ensemble import Minipatch, Ensemble, train_ensemble
+from mpinfer.ensemble import Minipatch, draw_pairs, train_ensemble
 from mpinfer.learners import FIT_CALLS, ConstantLearner, RidgeLearner
 from mpinfer.loco import (
     OcclusionResult, buffered_interval, estimate_B, infer_all, infer_feature,
-    loco_split_baseline, occlusion_scores, plain_interval, report_to_csv,
-    report_to_json, variance_barrier,
+    loco_split_baseline, mean_pair_gap, occlusion_scores, plain_interval,
+    report_to_csv, report_to_json, variance_barrier,
 )
 from mpinfer.loco import test_feature as feature_test
 from mpinfer.oracle import brute_force_predictor
@@ -129,38 +129,30 @@ class TestVarianceBarrier:
 
 
 class TestEstimateB:
-    def _hand_ensemble(self, cache_values, N=3):
-        # all patches exclude every row; cache columns carry the values
+    @staticmethod
+    def _hand_b_hat(cache_values, pairs_per_sample, seed, N=3):
+        # all patches exclude every row; patch k predicts cache_values[k]
+        # everywhere: estimate_B's pair draw, gathered from that array
         K = len(cache_values)
-        X = np.arange(N * 2.0).reshape(N, 2)
-        ds = Dataset(X=X, Y=np.zeros(N), task=Task.REGRESSION)
-        patches = [Minipatch(rows=np.array([0]), features=np.array([0]))
-                   for _ in range(K)]
         cache = np.zeros((K, N, 1))
         cache[:, :, 0] = np.asarray(cache_values)[:, None]
-        obs = np.zeros((K, N), dtype=bool)
-        feat = np.zeros((K, 2), dtype=bool)
-        feat[:, 0] = True
-        cfg = MPConfig(n=1, m=1, K=K, seed=0)
-        return Ensemble(ds, cfg, patches, [None] * K, cache, obs, feat)
+        pairs = draw_pairs(np.zeros((K, N), dtype=bool), pairs_per_sample, seed)
+        return mean_pair_gap(cache[pairs, np.arange(N)[:, None]])
 
     def test_constant_models_give_zero(self):
-        ens = self._hand_ensemble([3.0, 3.0, 3.0, 3.0])
-        assert estimate_B(ens, pairs_per_sample=5, seed=1) == 0.0
+        assert self._hand_b_hat([3.0, 3.0, 3.0, 3.0], 5, seed=1) == 0.0
 
     def test_two_level_models_straddle(self):
         # two models at 0, two at 1; force straddling pairs via many draws
-        ens = self._hand_ensemble([0.0, 1.0])
         # only 2 qualifying patches per row, every pair straddles
-        assert estimate_B(ens, pairs_per_sample=7, seed=2) == pytest.approx(1.0)
+        assert self._hand_b_hat([0.0, 1.0], 7, seed=2) == pytest.approx(1.0)
 
     def test_sampled_estimate_approaches_exhaustive_average(self):
         values = [0.0, 1.0, 5.0]
-        ens = self._hand_ensemble(values)
         gaps = [abs(a - b) for idx, a in enumerate(values)
                 for b in values[idx + 1:]]
         exhaustive = float(np.mean(gaps))
-        sampled = estimate_B(ens, pairs_per_sample=4000, seed=3)
+        sampled = self._hand_b_hat(values, 4000, seed=3)
         # 2-sigma Monte Carlo band around the all-pairs mean
         sigma = float(np.std(gaps, ddof=0)) / math.sqrt(4000 * 3)
         assert abs(sampled - exhaustive) < 2.0 * sigma + 1e-9
@@ -172,6 +164,11 @@ class TestEstimateB:
                              patches=patches, check_coverage=False)
         with pytest.raises(CoverageFailure):
             estimate_B(ens, seed=0)
+        # the fit pass drew no pairs, so the barrier fails on the same row
+        assert ens.pair_preds is None
+        with pytest.raises(CoverageFailure) as exc:
+            infer_feature(ens, 1)
+        assert exc.value.i == 0
 
 
 class TestTestFeature:

@@ -1,4 +1,4 @@
-"""Property tests: the masked-cache aggregates against the exhaustive
+"""Property tests: the fit pass's leave-out sums against the exhaustive
 ensemble, the B-hat pair sampler against a per-row loop, and model stacks
 against per-patch fits, on random tiny shapes."""
 
@@ -7,18 +7,18 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from mpinfer import ensemble as ensemble_mod
 from mpinfer.core import CoverageFailure, Dataset, MPConfig, Task
-from mpinfer.ensemble import Ensemble, Minipatch, train_ensemble
+from mpinfer.ensemble import draw_pairs, train_ensemble
 from mpinfer.learners import (
     ConstantLearner, RidgeLearner, TreeLearner, fit_patches,
 )
-from mpinfer.loco import estimate_B, infer_all, occlusion_scores
+from mpinfer.loco import estimate_B, infer_all, mean_pair_gap, occlusion_scores
 from mpinfer.oracle import ExhaustiveEnsemble
-from mpinfer.rng import generator
+from mpinfer.rng import generator, spawn_seed
 
 TOL = 1e-12
 LEARNERS = {
@@ -53,13 +53,15 @@ def instances(draw):
 @SETTINGS
 @given(instances(), st.sampled_from([8, 100, 4 << 20]))
 def test_masked_cache_matches_exhaustive(instance, block_bytes):
-    # small scratch sizes force many patch blocks, down to one patch each
+    # small scratch and fit-block sizes force many patch blocks, down to
+    # one patch each, in the fit pass and in the new-point sums
     ds, n, m, learner, X_new = instance
     bf = ExhaustiveEnsemble(ds, n, m, learner)
-    ens = train_ensemble(ds, MPConfig(seed=0, learner=learner),
-                         patches=bf.enumeration())
     N, M = ds.n_rows, ds.n_features
-    with mock.patch.object(ensemble_mod, "_BLOCK_BYTES", block_bytes):
+    with mock.patch.object(ensemble_mod, "_BLOCK_BYTES", block_bytes), \
+            mock.patch.object(ensemble_mod, "_FIT_BLOCK_BYTES", block_bytes):
+        ens = train_ensemble(ds, MPConfig(seed=0, learner=learner),
+                             patches=bf.enumeration())
         loo = ens.loo_all()
         numer, counts = ens.leave_out_sums(range(M))
         loo_new = ens.loo_new_all(X_new)
@@ -151,20 +153,18 @@ def masks(draw, min_excluded=2):
     return obs, gen
 
 
-def _ensemble(obs: np.ndarray, cache: np.ndarray) -> Ensemble:
-    K, N = obs.shape
-    ds = Dataset(X=np.arange(2.0 * N).reshape(N, 2), Y=np.zeros(N),
-                 task=Task.REGRESSION)
-    feat = np.zeros((K, 2), dtype=bool)
-    feat[:, 0] = True
-    patches = [Minipatch(rows=np.array([0]), features=np.array([0]))] * K
-    return Ensemble(ds, MPConfig(n=1, m=1, K=K, seed=0), patches, [None] * K,
-                    cache, obs, feat)
+def _b_hat(obs: np.ndarray, cache: np.ndarray, pairs: int = 10,
+           seed: int = 0) -> float:
+    """estimate_B's pair draw on membership mask obs (K, N), gathered from
+    a literal prediction array cache (K, N, d)."""
+    k = draw_pairs(obs, pairs, seed)
+    return mean_pair_gap(cache[k, np.arange(obs.shape[1])[:, None]])
 
 
-def _estimate_B_loop(ens: Ensemble, pairs: int, seed: int) -> float:
+def _estimate_B_loop(obs: np.ndarray, cache: np.ndarray, pairs: int,
+                     seed: int) -> float:
     # Reference: the same rank draws, mapped to patches row by row.
-    excl = ~ens.obs_mask
+    excl = ~obs
     counts = excl.sum(axis=0)
     gen = generator(seed, "pair-gaps")
     N = counts.shape[0]
@@ -174,8 +174,8 @@ def _estimate_B_loop(ens: Ensemble, pairs: int, seed: int) -> float:
     row_means = []
     for i in range(N):
         qualifying = np.flatnonzero(excl[:, i])
-        gaps = [math.sqrt(float(np.sum((ens.cache[qualifying[a], i]
-                                        - ens.cache[qualifying[b], i]) ** 2)))
+        gaps = [math.sqrt(float(np.sum((cache[qualifying[a], i]
+                                        - cache[qualifying[b], i]) ** 2)))
                 for a, b in zip(first[i], second[i])]
         row_means.append(np.mean(gaps))
     return float(np.mean(row_means))
@@ -185,9 +185,9 @@ def _estimate_B_loop(ens: Ensemble, pairs: int, seed: int) -> float:
 @given(masks(), st.integers(1, 6), st.integers(0, 1000))
 def test_estimate_B_matches_row_loop(mask_gen, pairs, seed):
     obs, gen = mask_gen
-    ens = _ensemble(obs, gen.standard_normal(obs.shape + (2,)))
-    got = estimate_B(ens, pairs_per_sample=pairs, seed=seed)
-    assert got == pytest.approx(_estimate_B_loop(ens, pairs, seed), abs=TOL)
+    cache = gen.standard_normal(obs.shape + (2,))
+    got = _b_hat(obs, cache, pairs, seed)
+    assert got == pytest.approx(_estimate_B_loop(obs, cache, pairs, seed), abs=TOL)
 
 
 @SETTINGS
@@ -196,9 +196,9 @@ def test_estimate_B_draws_only_qualifying_patches(mask_gen, pairs, seed):
     obs, gen = mask_gen
     # patches holding the row carry a huge value, so a bad draw would show
     cache = np.where(obs, 1e9, gen.random(obs.shape))[:, :, None]
-    assert 0.0 <= estimate_B(_ensemble(obs, cache), pairs, seed) < 1.0
+    assert 0.0 <= _b_hat(obs, cache, pairs, seed) < 1.0
     constant = np.full(obs.shape + (1,), 3.5)
-    assert estimate_B(_ensemble(obs, constant), pairs, seed) == 0.0
+    assert _b_hat(obs, constant, pairs, seed) == 0.0
 
 
 @SETTINGS
@@ -214,7 +214,7 @@ def test_estimate_B_pairs_are_distinct(K, N, pairs, seed):
         a, b = gen.choice(K, 2, replace=False)
         obs[[a, b], i] = False
         cache[a, i], cache[b, i] = 0.0, 1.0
-    assert estimate_B(_ensemble(obs, cache), pairs, seed) == 1.0
+    assert _b_hat(obs, cache, pairs, seed) == 1.0
 
 
 @SETTINGS
@@ -222,11 +222,26 @@ def test_estimate_B_pairs_are_distinct(K, N, pairs, seed):
 def test_estimate_B_needs_two_qualifying_patches(mask_gen, seed):
     obs, gen = mask_gen
     counts = (~obs).sum(axis=0)
-    ens = _ensemble(obs, gen.standard_normal(obs.shape + (1,)))
+    cache = gen.standard_normal(obs.shape + (1,))
     short = np.flatnonzero(counts < 2)
     if short.size:
         with pytest.raises(CoverageFailure) as exc:
-            estimate_B(ens, seed=seed)
+            _b_hat(obs, cache, seed=seed)
         assert exc.value.i == short[0]
     else:
-        assert estimate_B(ens, seed=seed) >= 0.0
+        assert _b_hat(obs, cache, seed=seed) >= 0.0
+
+
+@SETTINGS
+@given(instances(), st.integers(1, 6), st.integers(0, 1000))
+def test_estimate_B_from_the_stack_matches_row_loop(instance, pairs, seed):
+    ds, n, m, learner, _ = instance
+    ens = train_ensemble(ds, MPConfig(n=n, m=m, K=40, seed=seed, learner=learner),
+                         check_coverage=False)
+    assume(((~ens.obs_mask).sum(axis=0) >= 2).all())
+    got = estimate_B(ens, pairs, seed)
+    assert got == pytest.approx(
+        _estimate_B_loop(ens.obs_mask, ens.cache, pairs, seed), abs=TOL)
+    # the fit pass gathered the pairs of its own draw bit for bit
+    assert mean_pair_gap(ens.pair_preds) == estimate_B(
+        ens, 10, spawn_seed(seed, "estimate-b"))
