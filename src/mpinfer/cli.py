@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
+import os
 import sys
 from contextlib import contextmanager
 
@@ -61,6 +63,21 @@ def _writing(path):
         yield
     except OSError as exc:
         raise _Unwritable(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _check_writable(path: str) -> None:
+    """Raises _Unwritable, before any work, if ``path`` could not be
+    opened for writing: its folder is missing or not a folder, it is a
+    folder, or it may not be written.  Creates and truncates nothing."""
+    folder = os.path.dirname(path) or "."
+    with _writing(path):
+        if not os.path.isdir(folder):
+            os.stat(folder)             # raises why it is missing
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        if not os.access(path if os.path.exists(path) else folder, os.W_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -318,6 +335,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "out", None):
+            _check_writable(args.out)
         return args.fn(args)
     except CoverageFailure as exc:
         _progress(f"coverage failure: {exc}")

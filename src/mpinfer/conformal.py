@@ -69,14 +69,15 @@ def _snap(t: float) -> float:
 
 def _order_stat(values: np.ndarray, rank: int) -> np.ndarray:
     """The rank-th smallest of ``values`` along axis 0, which is
-    partitioned in place; -inf below rank 1 and +inf past the end."""
+    partitioned in place; -inf below rank 1 and +inf past the end.  The
+    result is a new array, so keeping it does not keep ``values``."""
     N = values.shape[0]
     if N == 0:
         raise EmptyInput("quantile of an empty vector")
     if not 1 <= rank <= N:
         return np.full(values.shape[1:], -math.inf if rank < 1 else math.inf)
     values.partition(rank - 1, axis=0)
-    return values[rank - 1]
+    return values[rank - 1].copy()
 
 
 def quantile_plus(values, alpha: float) -> float:
@@ -100,16 +101,21 @@ def loo_residuals(ens: Ensemble) -> LooResiduals:
 
 def predict_intervals_batch(ens: Ensemble, residuals: LooResiduals,
                             X_new, alpha: float) -> list[PredictiveInterval]:
-    """Regression intervals for a block of new points."""
+    """Regression intervals for a block of new points, chunk by chunk."""
     if ens.dataset.task != Task.REGRESSION:
         raise TaskMismatch("predictive intervals require a regression ensemble")
-    loo = ens.loo_new_all(X_new)[:, :, 0]          # (N, T)
-    N, R = loo.shape[0], residuals.R[:, None]
-    lo = _order_stat(loo - R, math.floor(_snap(alpha * (N + 1))))
-    loo += R
-    hi = _order_stat(loo, math.ceil(_snap((1.0 - alpha) * (N + 1))))
-    return [PredictiveInterval(lo=a, hi=b, alpha=alpha)
-            for a, b in zip(lo.tolist(), hi.tolist())]
+    N, R = ens.dataset.n_rows, residuals.R[:, None]
+    lo_rank = math.floor(_snap(alpha * (N + 1)))
+    hi_rank = math.ceil(_snap((1.0 - alpha) * (N + 1)))
+    out = []
+    for chunk in ens.loo_new_chunks(X_new):
+        loo = chunk[:, :, 0]                        # (N, t)
+        lo = _order_stat(loo - R, lo_rank)
+        loo += R
+        hi = _order_stat(loo, hi_rank)
+        out += [PredictiveInterval(lo=a, hi=b, alpha=alpha)
+                for a, b in zip(lo.tolist(), hi.tolist())]
+    return out
 
 
 def predict_interval(ens: Ensemble, residuals: LooResiduals, x_new,
@@ -120,22 +126,24 @@ def predict_interval(ens: Ensemble, residuals: LooResiduals, x_new,
 
 def predict_sets_batch(ens: Ensemble, residuals: LooResiduals,
                        X_new, alpha: float) -> list[PredictiveSet]:
-    """Classification label sets for a block of new points.
+    """Classification label sets for a block of new points, chunk by chunk.
 
     A label enters the set when the count of rows whose residual it
     fails to beat stays within (1-alpha)(N+1).
     """
     if ens.dataset.task != Task.CLASSIFICATION:
         raise TaskMismatch("predictive sets require a classification ensemble")
-    errs = ens.loo_new_all(X_new)                   # (N, T, d)
-    np.subtract(1.0, errs, out=errs)                # each label's error
-    errs -= residuals.R[:, None, None]
+    N, R = ens.dataset.n_rows, residuals.R[:, None, None]
     # at most k rows with errs >= R  <=>  the (N-k)-th smallest errs - R < 0
-    N = errs.shape[0]
-    k = math.floor(_snap((1.0 - alpha) * (N + 1)) + _RANK_TOL)
-    inside = _order_stat(errs, N - k) < 0           # (T, d)
-    return [PredictiveSet(labels=tuple(np.flatnonzero(row).tolist()), alpha=alpha)
-            for row in inside]
+    rank = N - math.floor(_snap((1.0 - alpha) * (N + 1)) + _RANK_TOL)
+    out = []
+    for errs in ens.loo_new_chunks(X_new):          # (N, t, d)
+        np.subtract(1.0, errs, out=errs)            # each label's error
+        errs -= R
+        inside = _order_stat(errs, rank) < 0        # (t, d)
+        out += [PredictiveSet(labels=tuple(np.flatnonzero(row).tolist()), alpha=alpha)
+                for row in inside]
+    return out
 
 
 def predict_set(ens: Ensemble, residuals: LooResiduals, x_new,

@@ -13,19 +13,26 @@ B-hat pairs, and drops the buffer.  No K x N prediction array is kept,
 and no model is ever refit after training.
 
 Memory: the sums cost N*(1 + M)*d doubles and the counts N*(1 + M); a
-fit block's buffer is its patches times N*d doubles.  Model predictions
-at new points, for new-point LOO and for the oracles' targets, all go
-through one blocked masked sum, :func:`patch_sums`.  Every patch fit,
-the ensemble's and the oracles', goes through :func:`fit_patch_models`,
-whose fixed blocks (one batched ridge solve each) worker threads take
-whole and whose block sums are added in block order, so output is
-byte-identical for any thread count.  An affine (ridge regression)
-block predicts with one GEMM, its coefficients scattered over all M
-features (the scatter :func:`patch_sums` uses) times X.T, plus the
-intercepts; so it equals single-row ``predict`` up to rounding, not bit
-for bit.  Any other stack predicts through ``predict_batch``.  A
-snapshot (layout 4) keeps the stack's arrays in its .npz beside the
-masks, sums, counts and B-hat pair predictions.
+fit block's buffer is its patches times N*d doubles.  New-point LOO
+comes in balanced chunks of new points (:meth:`Ensemble.loo_new_chunks`)
+whose (N, t, d) arrays, with one temporary of that size, stay within
+_BLOCK_BYTES, so a call's memory does not grow with the number of new
+points: an affine stack's excluding coefficient sums (N, M + 1) are
+built once per call and meet each chunk as one GEMM.  Model predictions
+at new points, for new-point LOO and for the oracles' targets, go
+through the blocked masked sums of :func:`patch_sums`, where a linear
+classification block is one GEMM of its scattered coefficients and a
+softmax.  Every patch fit, the ensemble's and the oracles', goes through
+:func:`fit_patch_models`, whose fixed blocks (one batched ridge solve
+each) worker threads take whole and whose block sums are added in block
+order, so output is byte-identical for any thread count.  An affine
+(ridge regression) block predicts with one GEMM, its coefficients
+scattered over all M features (the scatter :func:`patch_sums` uses)
+times X.T, plus the intercepts; so it equals single-row ``predict`` up
+to rounding, not bit for bit, as do linear models' sums at new points.
+Any other stack predicts through ``predict_batch``.  A snapshot (layout
+4) keeps the stack's arrays in its .npz beside the masks, sums, counts
+and B-hat pair predictions.
 """
 
 from __future__ import annotations
@@ -201,7 +208,16 @@ class Ensemble:
         """LOO prediction for every training row, shape (N, d)."""
         return average(self.sums[:, 0], self.counts[:, 0])
 
-    def _loo_new_stats(self, X_new: np.ndarray):
+    def _new_sums(self, X_new: np.ndarray):
+        """LOO numerators (N, t, d) at balanced chunks of the new points
+        X_new (T, M), in order: sizes differ by at most one point and one
+        chunk plus one temporary of its size stay within _BLOCK_BYTES;
+        one empty chunk when T = 0.
+
+        An affine stack is summed once per call into excluding
+        coefficient rows (N, M + 1), in the blocks :func:`patch_sums`
+        uses, which meet each chunk as one GEMM with the points leading;
+        any other stack is summed chunk by chunk (:func:`_point_sums`)."""
         X_new = np.asarray(X_new, dtype=float)
         if X_new.ndim != 2 or X_new.shape[1] != self.dataset.n_features:
             raise DimensionMismatch(
@@ -209,17 +225,38 @@ class Ensemble:
             )
         if not np.isfinite(X_new).all():
             raise DimensionMismatch("new points contain non-finite entries")
-        numer = patch_sums(self.models, np.stack([p.features for p in self.patches]),
-                           X_new, ~self.obs_mask)
-        return numer, self.counts[:, 0]
+        (T, M), N, d = X_new.shape, self.dataset.n_rows, self.dataset.pred_dim
+        feats = np.stack([p.features for p in self.patches])
+        most = max(1, _BLOCK_BYTES // (16 * N * d))        # points per chunk
+        parts = -(-T // most) or 1
+        bounds = (np.arange(parts + 1) * T // parts).tolist()
+        chunks, W = zip(bounds[:-1], bounds[1:]), ~self.obs_mask
+        if _affine(self.models):
+            acc = _affine_sums(self.models, feats, W, M)
+            coef, intercept = acc[:, :M].T, acc[:, M]    # coef: a view
+            for a, b in chunks:
+                yield (X_new[a:b] @ coef + intercept).T[..., None]
+        else:
+            for a, b in chunks:
+                yield _point_sums(self.models, feats, X_new[a:b], W, T)
+
+    def loo_new_chunks(self, X_new: np.ndarray):
+        """Per-row LOO predictions at new points, as (N, t, d) arrays for
+        consecutive balanced chunks of X_new's T rows (one empty chunk
+        when T = 0), so that a caller's memory does not grow with T.
+
+        Entry [i, t] of a chunk averages the models whose patch excludes
+        row i, evaluated at its point restricted to each patch's
+        features.  Each chunk is the caller's to modify.
+        """
+        counts = self.counts[:, 0]
+        for numer in self._new_sums(X_new):
+            yield average(numer, counts, out=numer)
 
     def loo_new_all(self, X_new: np.ndarray) -> np.ndarray:
-        """Per-row LOO predictions at new points, shape (N, T, d).
-
-        Entry [i, t] averages models whose patch excludes row i,
-        evaluated at X_new[t] restricted to each patch's features.
-        """
-        return average(*self._loo_new_stats(X_new))
+        """Per-row LOO predictions at new points, shape (N, T, d): the
+        chunks of :meth:`loo_new_chunks`, joined."""
+        return np.concatenate(list(self.loo_new_chunks(X_new)), axis=1)
 
     # -- single-index queries -------------------------------------------
 
@@ -232,8 +269,8 @@ class Ensemble:
 
     def loo_prediction_new(self, i: int, x_new) -> np.ndarray:
         # a 1-D x_new becomes one row; any other shape fails the 2-D check
-        numer, counts = self._loo_new_stats(np.asarray(x_new, dtype=float)[None])
-        return self._at_row(i, numer[:, 0], counts)
+        numer = next(self._new_sums(np.asarray(x_new, dtype=float)[None]))
+        return self._at_row(i, numer[:, 0], self.counts[:, 0])
 
     def _at_row(self, i: int, numer, counts, j: int | None = None) -> np.ndarray:
         if not 0 <= i < self.dataset.n_rows:
@@ -298,26 +335,70 @@ def patch_sums(models: FittedModel, feats: np.ndarray, X: np.ndarray,
     (S, T, d): entry [s] is sum_k W[k, s] * models[k](X[:, feats[k]]).
 
     One pass over blocks of patches.  Affine regression models (d = 1)
-    are summed as coefficient rows (:func:`_coef_rows`) that meet X once
-    at the end; any other stack adds its block's predictions.
+    are summed as coefficient rows (:func:`_affine_sums`) that meet X
+    once at the end; any other stack adds its blocks' predictions
+    (:func:`_point_sums`).
     """
-    (T, M), (K, S), m = X.shape, W.shape, feats.shape[1]
-    d = models.pred_dim
-    affine = _affine(models)
-    width = M + 1 if affine else T * d
-    acc = np.zeros((S, width))
-    # per patch: a coefficient row, or a prediction row and its gathered points
-    step = max(1, _BLOCK_BYTES // (8 * max(S, width if affine else T * (d + m))))
+    M = X.shape[1]
+    if _affine(models):
+        acc = _affine_sums(models, feats, W, M)
+        return (acc[:, :M] @ X.T + acc[:, M:])[..., None]
+    return _point_sums(models, feats, X, W, X.shape[0])
+
+
+def _affine_sums(models: LinearModel, feats: np.ndarray, W: np.ndarray,
+                 M: int) -> np.ndarray:
+    """Weighted sums (S, M + 1) of an affine stack's coefficient rows
+    (:func:`_coef_rows`): row s meets a point x (M,) as
+    acc[s, :M] @ x + acc[s, M]."""
+    K, S = W.shape
+    acc = np.zeros((S, M + 1))
+    # per patch: a weight column and a coefficient row
+    step = max(1, _BLOCK_BYTES // (8 * max(S, M + 1)))
+    for lo in range(0, K, step):
+        rows = _coef_rows(models.take(slice(lo, lo + step)), feats[lo:lo + step], M)
+        acc += W[lo:lo + step].astype(float).T @ rows[:, 0]
+    return acc
+
+
+def _point_sums(models: FittedModel, feats: np.ndarray, X: np.ndarray,
+                W: np.ndarray, points: int) -> np.ndarray:
+    """:func:`patch_sums` of a non-affine stack at points X, a chunk of
+    the ``points`` points of the call, in blocks of patches.  A linear
+    classification block is one GEMM and a softmax (:func:`_linear_probs`)
+    and holds its probabilities and coefficient rows at X; any other
+    block predicts through ``predict_batch`` and holds its predictions
+    and gathered points, sized for all ``points`` points, so that its
+    blocks do not depend on the chunking.  The sums are formed
+    point-major, predictions.T @ weights."""
+    (T, M), (K, S), d = X.shape, W.shape, models.pred_dim
+    linear = isinstance(models, LinearModel)
+    per_patch = d * (T + M + 1) if linear else points * (d + feats.shape[1])
+    # per patch: a weight column, or per_patch doubles
+    step = max(1, _BLOCK_BYTES // (8 * max(S, per_patch)))
+    acc = np.zeros((d, T, S) if linear else (T, d, S))
+    flat = acc.reshape(-1, S)
     for lo in range(0, K, step):
         blk, f = models.take(slice(lo, lo + step)), feats[lo:lo + step]
-        if affine:
-            rows = _coef_rows(blk, f, M)
-        else:
-            rows = blk.predict_batch(X[:, f].swapaxes(0, 1)).reshape(f.shape[0], -1)
-        acc += W[lo:lo + step].astype(float).T @ rows
-    if affine:
-        return (acc[:, :M] @ X.T + acc[:, M:])[..., None]
-    return acc.reshape(S, T, d)
+        preds = (_linear_probs(blk, f, X) if linear
+                 else blk.predict_batch(X[:, f].swapaxes(0, 1)))
+        flat += preds.reshape(f.shape[0], -1).T @ W[lo:lo + step].astype(float)
+    return acc.transpose(2, 1, 0) if linear else acc.transpose(2, 0, 1)
+
+
+def _linear_probs(models: LinearModel, feats: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Class probabilities (B, d, T) of a block of linear classifiers at
+    points X (T, M): the logits are one GEMM of the scattered coefficient
+    rows against X, then a softmax over the classes, in place and
+    stabilised as in ``predict_batch``; equal to it up to rounding."""
+    (B, d), M = models.intercept.shape, X.shape[1]
+    rows = _coef_rows(models, feats, M)
+    probs = (rows[..., :M].reshape(B * d, M) @ X.T).reshape(B, d, -1)
+    probs += rows[..., M:]
+    probs -= probs.max(axis=1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=1, keepdims=True)
+    return probs
 
 
 def _affine(models: FittedModel) -> bool:
@@ -326,23 +407,26 @@ def _affine(models: FittedModel) -> bool:
 
 
 def _coef_rows(models: LinearModel, feats: np.ndarray, M: int) -> np.ndarray:
-    """A stack of affine regression models as (B, M + 1) rows: each
-    model's coefficients scattered to its features, the intercept last,
-    so that rows[:, :M] @ x + rows[:, M] is its prediction at x (M,)."""
-    B = feats.shape[0]
-    rows = np.zeros((B, M + 1))
-    rows[np.arange(B)[:, None], feats] = models.coef[:, :, 0]
-    rows[:, M] = models.intercept[:, 0]
+    """A stack of linear models as (B, d, M + 1) rows: each model's
+    coefficients for output c scattered to its features, the intercept
+    last, so that rows[b, c, :M] @ x + rows[b, c, M] is model b's score
+    c at x (M,)."""
+    B, d = models.intercept.shape
+    rows = np.zeros((B, d, M + 1))
+    rows[np.arange(B)[:, None], :, feats] = models.coef
+    rows[:, :, M] = models.intercept
     return rows
 
 
-def average(numer: np.ndarray, counts: np.ndarray, j: int | None = None) -> np.ndarray:
-    """Leave-out averages numer / counts over rows (the leading axis);
-    raises CoverageFailure on the first row with no qualifying patch."""
+def average(numer: np.ndarray, counts: np.ndarray, j: int | None = None,
+            out: np.ndarray | None = None) -> np.ndarray:
+    """Leave-out averages numer / counts over rows (the leading axis),
+    into ``out`` if given; raises CoverageFailure on the first row with
+    no qualifying patch."""
     bad = np.nonzero(counts == 0)[0]
     if bad.size:
         raise CoverageFailure(int(bad[0]), j)
-    return numer / counts.reshape(-1, *[1] * (numer.ndim - 1))
+    return np.divide(numer, counts.reshape(-1, *[1] * (numer.ndim - 1)), out=out)
 
 
 def thread_map(fn, items, threads: int = 1):
@@ -378,7 +462,7 @@ def _block_predictions(stack: FittedModel, feats: np.ndarray, X: np.ndarray,
     if out is None:
         out = np.empty((B, N, stack.pred_dim))
     if _affine(stack):
-        coef = _coef_rows(stack, feats, M)
+        coef = _coef_rows(stack, feats, M)[:, 0]
         np.matmul(coef[:, :M], X.T, out=out[..., 0])
         out[..., 0] += coef[:, M:]
         return out

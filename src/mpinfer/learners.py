@@ -11,9 +11,11 @@ same row in any batch or stack.  The ensemble's fit pass predicts at
 its training rows through it for non-affine stacks, which share that
 bit-equality; an affine regression block is one GEMM (see
 :mod:`mpinfer.ensemble`) and agrees with ``predict`` up to rounding
-only.  How a model is stored is known to
-this module alone; snapshots go through :func:`to_obj` and
-:func:`from_obj`.
+only.  At new points both linear tasks leave this kernel: regression
+sums coefficients and classification forms a block's logits as one
+GEMM, so new-point LOO of a linear stack agrees with ``predict`` up to
+rounding, not bit for bit.  How a model is stored is known to this
+module alone; snapshots go through :func:`to_obj` and :func:`from_obj`.
 
 A process-wide fit counter records every base-learner fit; inference
 code paths are required to leave it untouched.

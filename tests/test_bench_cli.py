@@ -322,25 +322,57 @@ class TestCli:
         err = capsys.readouterr().err
         assert "data error" in err and str(bad) in err
 
-    @pytest.mark.parametrize("command", ["simulate", "infer", "bench"])
-    def test_unwritable_output_names_the_file(self, tmp_path, capsys, command):
+    @staticmethod
+    def _unwritable_run(tmp_path, command, out) -> int:
         data = tmp_path / "data.csv"
         data.write_text("x0,x1,x2,x3,target\n" + "".join(
             ",".join(format(v, ".17g") for v in r) + "\n"
             for r in np.random.default_rng(8).standard_normal((30, 5))))
-        out = tmp_path / "missing" / "out.csv"
         argv = {
             "simulate": ["simulate", "--N", "60", "--M", "10"],
             "infer": ["infer", "--data", str(data), "--task", "regression",
                       "--K", "50"],
+            "predict": ["predict", "--data", str(data), "--task", "regression",
+                        "--K", "50", "--new-data", str(data)],
             "bench": ["bench", "coverage", "--N", "60", "--M", "10", "--K", "50",
                       "--replicates", "1", "--n-test", "50"],
         }[command]
-        assert main(argv + ["--out", str(out)]) == 3
+        return main(argv + ["--out", str(out)])
+
+    @pytest.mark.parametrize("command", ["simulate", "infer", "predict", "bench"])
+    def test_unwritable_output_names_the_file(self, tmp_path, capsys, command):
+        out = tmp_path / "missing" / "out.csv"
+        assert self._unwritable_run(tmp_path, command, out) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"cannot write {out}: No such file or directory" in captured.err
-        assert "data error" not in captured.err
+        # the only line: no progress line, so no work, comes before it
+        assert captured.err == f"cannot write {out}: No such file or directory\n"
+
+    @pytest.mark.parametrize("defect, reason", [
+        ("file-as-folder", "Not a directory"), ("directory", "Is a directory"),
+    ])
+    def test_unwritable_output_reason(self, tmp_path, capsys, defect, reason):
+        out = tmp_path / "data.csv" / "out.csv" if defect == "file-as-folder" else tmp_path
+        assert self._unwritable_run(tmp_path, "infer", out) == 3
+        assert capsys.readouterr().err == f"cannot write {out}: {reason}\n"
+
+    @pytest.mark.parametrize("command", ["infer", "predict", "bench"])
+    def test_output_untouched_until_written(self, tmp_path, capsys, command):
+        # a run that fails after the output check leaves an existing file
+        # as it was, and a missing one missing
+        kept, absent = tmp_path / "kept.csv", tmp_path / "absent.csv"
+        kept.write_text("old contents\n")
+        missing = str(tmp_path / "no-such.csv")
+        argv = {
+            "infer": ["infer", "--data", missing, "--task", "regression"],
+            "predict": ["predict", "--data", missing, "--task", "regression",
+                        "--new-data", missing],
+            "bench": ["bench", "coverage", "--replicates", "0"],
+        }[command]
+        for out in (kept, absent):
+            assert main(argv + ["--out", str(out)]) == 3
+        assert kept.read_text() == "old contents\n"
+        assert not absent.exists()
 
     def test_unwritable_sidecar_names_the_file(self, tmp_path, capsys):
         out = tmp_path / "sim.csv"

@@ -1,18 +1,22 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from mpinfer.conformal import (
-    _RANK_TOL, LooResiduals, _snap, loo_residuals, predict_interval,
-    predict_intervals_batch, predict_set, predict_sets_batch, quantile_minus,
-    quantile_plus, sample_K_binomial,
+    _RANK_TOL, LooResiduals, _order_stat, _snap, loo_residuals,
+    predict_interval, predict_intervals_batch, predict_set, predict_sets_batch,
+    quantile_minus, quantile_plus, sample_K_binomial,
 )
 from mpinfer.core import (
     Dataset, EmptyInput, InvalidSize, MPConfig, Task, TaskMismatch,
 )
+from mpinfer import ensemble
 from mpinfer.ensemble import Ensemble, Minipatch, train_ensemble
-from mpinfer.learners import ConstantModel, RidgeLearner
+from mpinfer.learners import (
+    ConstantLearner, ConstantModel, RidgeLearner, TreeLearner,
+)
 from mpinfer.rng import generator, standard_normal, uniform_open
 
 
@@ -49,6 +53,14 @@ class TestQuantiles:
             quantile_plus([], 0.1)
         with pytest.raises(EmptyInput):
             quantile_minus([], 0.1)
+
+    @pytest.mark.parametrize("rank", [0, 3, 9])
+    def test_order_stat_owns_its_result(self, rank):
+        # keeping a chunk's quantiles must not keep the chunk alive
+        values = standard_normal(generator(5, "order-stat"), (8, 4))
+        got = _order_stat(values, rank)
+        assert got.shape == (4,) and got.base is None
+        assert not np.shares_memory(got, values)
 
     def test_matches_sort_reference_on_random_vectors(self):
         gen = generator(17, "quantile-oracle")
@@ -227,6 +239,96 @@ def test_set_batch_equals_per_point_rule(alpha):
         for t, ps in enumerate(predict_sets_batch(ens, res, X_new, alpha)):
             counts = ((1.0 - loo[:, t, :]) >= res.R[:, None]).sum(axis=0)
             assert ps.labels == tuple(np.nonzero(counts <= budget)[0].tolist())
+
+
+TOL = 1e-12
+CHUNK_CASES = {
+    "ridge": (Task.REGRESSION, RidgeLearner()),
+    "ridge-classification": (Task.CLASSIFICATION, RidgeLearner()),
+    "tree": (Task.REGRESSION, TreeLearner(max_depth=3)),
+    "tree-classification": (Task.CLASSIFICATION, TreeLearner(max_depth=3)),
+    "constant": (Task.REGRESSION, ConstantLearner()),
+}
+
+
+def chunk_case(name, N=30, M=5, T=23):
+    """A small ensemble of the named case, its residuals, and T new points."""
+    task, learner = CHUNK_CASES[name]
+    gen = generator(21, "chunk-case")
+    X = standard_normal(gen, (N, M))
+    if task == Task.REGRESSION:
+        ds = Dataset(X=X, Y=X @ np.linspace(1.0, 2.0, M) + standard_normal(gen, N),
+                     task=task)
+    else:
+        ds = Dataset(X=X, Y=(X[:, 0] > 0).astype(int) + (X[:, 1] > 0.5),
+                     task=task, n_classes=3)
+    ens = train_ensemble(ds, MPConfig(n=6, m=2, K=120, seed=5, learner=learner))
+    return ens, loo_residuals(ens), standard_normal(gen, (T, M))
+
+
+def batch_rule(ens, res, X_new, alpha=0.2):
+    """The task's batch rule: interval bounds, or label sets."""
+    if ens.dataset.task == Task.REGRESSION:
+        return [(iv.lo, iv.hi) for iv in predict_intervals_batch(ens, res, X_new, alpha)]
+    return [ps.labels for ps in predict_sets_batch(ens, res, X_new, alpha)]
+
+
+class TestNewPointChunks:
+    @pytest.mark.parametrize("points", [1, 2, 7])
+    @pytest.mark.parametrize("case", sorted(CHUNK_CASES))
+    def test_chunk_boundaries_do_not_change_results(self, monkeypatch, case, points):
+        ens, res, X_new = chunk_case(case)
+        T, N, d = len(X_new), ens.dataset.n_rows, ens.dataset.pred_dim
+        assert [c.shape[1] for c in ens.loo_new_chunks(X_new)] == [T]
+        whole, whole_rule = ens.loo_new_all(X_new), batch_rule(ens, res, X_new)
+        # at most ``points`` points per chunk; T = 23 is no multiple of 2 or 7
+        monkeypatch.setattr(ensemble, "_BLOCK_BYTES", 16 * N * d * points)
+        sizes = [c.shape[1] for c in ens.loo_new_chunks(X_new)]
+        assert len(sizes) == -(-T // points) and sum(sizes) == T
+        assert max(sizes) <= points and max(sizes) - min(sizes) <= 1
+        assert np.abs(ens.loo_new_all(X_new) - whole).max() <= TOL
+        got = batch_rule(ens, res, X_new)
+        if ens.dataset.task == Task.REGRESSION:
+            assert np.allclose(got, whole_rule, rtol=0.0, atol=TOL)
+            return
+        # a label whose deciding order statistic ties at 0 goes either way
+        # with rounding (a tree's new point can share a training row's
+        # leaves); every other label must agree
+        rank = N - math.floor(_snap(0.8 * (N + 1)) + _RANK_TOL)
+        decider = np.sort(1.0 - whole - res.R[:, None, None], axis=0)[rank - 1]
+        for t, (a, b) in enumerate(zip(got, whole_rule)):
+            assert set(a) ^ set(b) <= set(np.flatnonzero(abs(decider[t]) <= TOL))
+
+    @pytest.mark.parametrize("case", sorted(CHUNK_CASES))
+    def test_no_new_points(self, case):
+        ens, res, X_new = chunk_case(case, T=0)
+        assert ens.loo_new_all(X_new).shape == (ens.dataset.n_rows, 0,
+                                                ens.dataset.pred_dim)
+        assert batch_rule(ens, res, X_new) == []
+
+    @pytest.mark.parametrize("task", [Task.REGRESSION, Task.CLASSIFICATION])
+    def test_memory_does_not_grow_with_new_points(self, task):
+        # a whole-T rule holds several (N, T, d) float arrays: about 130 MB
+        # for the intervals here
+        N, M, K, T = 1000, 50, 800, 8000
+        gen = generator(22, "chunk-memory")
+        X = standard_normal(gen, (N, M))
+        if task == Task.REGRESSION:
+            ds = Dataset(X=X, Y=X[:, 0] + standard_normal(gen, N), task=task)
+            rule = predict_intervals_batch
+        else:
+            ds = Dataset(X=X, Y=(X[:, 0] > 0).astype(int) + (X[:, 1] > 0.5),
+                         task=task, n_classes=3)
+            rule = predict_sets_batch
+        ens = train_ensemble(ds, MPConfig(K=K, seed=6))
+        res, X_new = loo_residuals(ens), standard_normal(gen, (T, M))
+        tracemalloc.start()
+        try:
+            assert len(rule(ens, res, X_new, 0.1)) == T
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * ensemble._BLOCK_BYTES + 1024 * T
 
 
 class TestLooResiduals:

@@ -70,3 +70,38 @@ def test_no_module_runs_python_per_element_through_numpy():
                  for path in sorted(PACKAGE.glob("*.py"))
                  for line, name in per_element_calls(path.read_text())]
     assert offenders == []
+
+
+def whole_new_point_loo(source: str) -> list[tuple[int, str]]:
+    """(line, name) of every use of ``loo_new_all`` or ``patch_sums``, by
+    attribute, name or import: both build new-point arrays over all T
+    points at once."""
+    names = {"loo_new_all", "patch_sums"}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in names:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Name) and node.id in names:
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name in names]
+    return sorted(found)
+
+
+def test_detects_whole_new_point_loo():
+    source = ("from .ensemble import patch_sums\n"
+              "loo = ens.loo_new_all(X_new)\n"
+              "for chunk in ens.loo_new_chunks(X_new):\n"
+              "    sums = patch_sums(models, feats, chunk, W)\n"
+              "rule = ens.loo_new_all\n")
+    assert whole_new_point_loo(source) == [
+        (1, "patch_sums"), (2, "loo_new_all"), (4, "patch_sums"),
+        (5, "loo_new_all")]
+
+
+def test_conformal_reads_new_point_loo_in_chunks():
+    source = (PACKAGE / "conformal.py").read_text()
+    assert whole_new_point_loo(source) == []
+    assert "loo_new_chunks" in {node.attr for node in ast.walk(ast.parse(source))
+                                if isinstance(node, ast.Attribute)}
