@@ -6,7 +6,7 @@ from .core import (
     Dataset, MPConfig, Task, error_score, load_dataset, save_dataset,
     standardize,
 )
-from .ensemble import Ensemble, Minipatch, sample_minipatches, train_ensemble
+from .ensemble import Ensemble, patch_array, sample_minipatches, train_ensemble
 from .learners import (
     ConstantLearner, RidgeLearner, TreeLearner, fit_decision_tree,
     fit_least_squares, predict,
@@ -31,7 +31,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Dataset", "MPConfig", "Task", "error_score", "load_dataset",
     "save_dataset", "standardize",
-    "Ensemble", "Minipatch", "sample_minipatches", "train_ensemble",
+    "Ensemble", "patch_array", "sample_minipatches", "train_ensemble",
     "ConstantLearner", "RidgeLearner", "TreeLearner", "fit_decision_tree",
     "fit_least_squares", "predict",
     "FeatureInterval", "OcclusionResult", "buffered_interval", "estimate_B",

@@ -1,16 +1,18 @@
 """Minipatch sampling, ensemble training, and leave-out aggregation.
 
-A minipatch is a random (rows, features) submatrix; the ensemble keeps
-its K fitted base models as one stack (see :mod:`mpinfer.learners`,
-patch k at stack index k), boolean membership masks, and the leave-out
-sums.  Every leave-one-out / leave-one-covariate-out quantity is a
-masked average of the models' predictions at the training rows, and
-only the sums are ever read, so the fit pass builds them as it goes:
-each fit block predicts at every training row into a block-sized
-buffer, adds its mask-weighted sums for LOO and for every feature's
-LOCO into one (N, 1 + M, d) accumulator, gathers its predictions at the
-B-hat pairs, and drops the buffer.  No K x N prediction array is kept,
-and no model is ever refit after training.
+A minipatch is a random (rows, features) submatrix.  The K patches are
+one record array (:func:`patch_array`) whose fields ``rows`` (K, n) and
+``features`` (K, m) are read whole.  The ensemble keeps its K fitted
+base models as one stack (see :mod:`mpinfer.learners`, patch k at stack
+index k), boolean membership masks, and the leave-out sums.  Every
+leave-one-out / leave-one-covariate-out quantity is a masked average of
+the models' predictions at the training rows, and only the sums are
+ever read, so the fit pass builds them as it goes: each fit block
+predicts at every training row into a block-sized buffer, adds its
+mask-weighted sums for LOO and for every feature's LOCO into one (N, 1 +
+M, d) accumulator, gathers its predictions at the B-hat pairs, and drops
+the buffer.  No K x N prediction array is kept, and no model is ever
+refit after training.
 
 Memory: the sums cost N*(1 + M)*d doubles and the counts N*(1 + M); a
 fit block's buffer is its patches times N*d doubles.  New-point LOO
@@ -40,7 +42,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -54,7 +56,7 @@ from .learners import (
 from .rng import generator, spawn_seed
 
 __all__ = [
-    "Minipatch", "Ensemble", "sample_minipatches", "train_ensemble",
+    "patch_array", "Ensemble", "sample_minipatches", "train_ensemble",
     "save_ensemble", "load_ensemble", "patch_sums", "fit_patch_models",
     "thread_map", "draw_pairs",
 ]
@@ -68,21 +70,25 @@ _BLOCK_BYTES = 4 << 20
 _FIT_BLOCK_BYTES = 1 << 20
 
 
-@dataclass(frozen=True)
-class Minipatch:
-    """Sorted row indices (n) and feature indices (m) of one submatrix."""
+def patch_array(rows, features) -> np.recarray:
+    """The K patches (rows[k], features[k]) as one record array: record
+    k is patch k, with fields ``rows`` (n,) and ``features`` (m,), so
+    that ``patches.rows`` (K, n) and ``patches.features`` (K, m) are the
+    int64 index matrices."""
+    rows = np.asarray(rows, dtype=np.int64)
+    features = np.asarray(features, dtype=np.int64)
+    if rows.ndim != 2 or features.ndim != 2 or len(rows) != len(features):
+        raise InvalidSize("patches need rows (K, n) and features (K, m)")
+    patches = np.recarray(len(rows), dtype=[("rows", np.int64, rows.shape[1:]),
+                                            ("features", np.int64, features.shape[1:])])
+    patches.rows, patches.features = rows, features
+    return patches
 
-    rows: np.ndarray
-    features: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "rows", np.asarray(self.rows, dtype=np.int64))
-        object.__setattr__(self, "features", np.asarray(self.features, dtype=np.int64))
-
-
-def sample_minipatches(N: int, M: int, n: int, m: int, K: int, seed: int) -> list[Minipatch]:
+def sample_minipatches(N: int, M: int, n: int, m: int, K: int, seed: int) -> np.recarray:
     """Draw K independent uniform (rows, features) pairs, each without
-    replacement within the patch; deterministic in the seed.
+    replacement within the patch, as one record array (:func:`patch_array`);
+    deterministic in the seed.
 
     The stream is that of ``np.sort(gen.choice(N, n, replace=False))``
     then ``np.sort(gen.choice(M, m, replace=False))`` per patch, as long
@@ -107,12 +113,11 @@ def sample_minipatches(N: int, M: int, n: int, m: int, K: int, seed: int) -> lis
     # per patch: its int64 draws, the index arrays Floyd's rule makes from
     # them, and its row and feature masks
     step = max(1, _BLOCK_BYTES // (8 * (highs.size + 4 * (n + m)) + N + M))
-    patches = []
+    patches = patch_array(np.empty((K, n), np.int64), np.empty((K, m), np.int64))
     for lo in range(0, K, step):
         draws = gen.integers(0, np.broadcast_to(highs, (min(step, K - lo), highs.size)))
-        rows = _floyd(draws[:, :n], N)
-        feats = _floyd(draws[:, 2 * n - 1:2 * n - 1 + m], M)
-        patches += map(Minipatch, rows, feats)
+        patches.rows[lo:lo + step] = _floyd(draws[:, :n], N)
+        patches.features[lo:lo + step] = _floyd(draws[:, 2 * n - 1:2 * n - 1 + m], M)
     return patches
 
 
@@ -139,13 +144,13 @@ class Ensemble:
     """
 
     def __init__(self, dataset: Dataset, config: MPConfig,
-                 patches: list[Minipatch], models: FittedModel,
+                 patches: np.recarray, models: FittedModel,
                  obs_mask: np.ndarray, feat_mask: np.ndarray,
                  sums: np.ndarray, counts: np.ndarray,
                  pair_preds: np.ndarray | None):
         self.dataset = dataset
         self.config = config
-        self.patches = patches
+        self.patches = patches        # record array of K patches
         self.models = models          # stack of K models, in patch order
         self.obs_mask = obs_mask      # (K, N) bool, True iff row in patch
         self.feat_mask = feat_mask    # (K, M) bool, True iff feature in patch
@@ -182,8 +187,8 @@ class Ensemble:
         return out
 
     def _blocks(self):
-        feats = np.stack([p.features for p in self.patches])
-        step = _fit_step(len(self.patches[0].rows), feats.shape[1],
+        feats = self.patches.features
+        step = _fit_step(self.patches.rows.shape[1], feats.shape[1],
                          self.dataset.pred_dim)
         for lo in range(0, self.K, step):
             yield lo, self.models.take(slice(lo, lo + step)), feats[lo:lo + step]
@@ -226,7 +231,7 @@ class Ensemble:
         if not np.isfinite(X_new).all():
             raise DimensionMismatch("new points contain non-finite entries")
         (T, M), N, d = X_new.shape, self.dataset.n_rows, self.dataset.pred_dim
-        feats = np.stack([p.features for p in self.patches])
+        feats = self.patches.features
         most = max(1, _BLOCK_BYTES // (16 * N * d))        # points per chunk
         parts = -(-T // most) or 1
         bounds = (np.arange(parts + 1) * T // parts).tolist()
@@ -526,36 +531,34 @@ def _leave_out_counts(rows: np.ndarray, feats: np.ndarray, N: int,
 
 def train_ensemble(dataset: Dataset, config: MPConfig, threads: int = 1,
                    check_coverage: bool = True,
-                   patches: list[Minipatch] | None = None) -> Ensemble:
+                   patches: np.recarray | None = None) -> Ensemble:
     """Fit one model per minipatch and sum its predictions into the
     leave-out sums in the same pass.
 
-    The patch list and the B-hat pairs are drawn serially from the seed
+    The patches and the B-hat pairs are drawn serially from the seed
     before any parallel work, and patches are fitted in fixed blocks
     that threads take whole and whose sums are added in block order, so
-    the result is byte-identical for any ``threads``.  ``patches``
-    overrides the random draw (used by the exhaustive-enumeration
-    checks).  With ``check_coverage`` every row must be excluded by some
-    patch and every (row, feature) pair jointly excluded by some patch,
-    otherwise :class:`CoverageFailure` is raised before any fit instead
-    of surfacing on a later query.
+    the result is byte-identical for any ``threads``.  ``patches``, a
+    record array (:func:`patch_array`), overrides the random draw (used
+    by the exhaustive-enumeration checks); its row indices must increase
+    strictly within [0, N) and its feature indices within [0, M), or
+    :class:`InvalidSize` is raised.  With ``check_coverage`` every row
+    must be excluded by some patch and every (row, feature) pair jointly
+    excluded by some patch, otherwise :class:`CoverageFailure` is raised
+    before any fit instead of surfacing on a later query.
     """
+    N, M, d = dataset.n_rows, dataset.n_features, dataset.pred_dim
     if patches is None:
-        config = config.resolve(dataset.n_rows, dataset.n_features)
-        patches = sample_minipatches(dataset.n_rows, dataset.n_features,
-                                     config.n, config.m, config.K, config.seed)
+        config = config.resolve(N, M)
+        patches = sample_minipatches(N, M, config.n, config.m, config.K, config.seed)
     else:
-        ns = {len(p.rows) for p in patches}
-        ms = {len(p.features) for p in patches}
-        if len(ns) != 1 or len(ms) != 1:
-            raise InvalidSize("all patches must share the same (n, m)")
-        config = replace(config, n=ns.pop(), m=ms.pop(), K=len(patches))
-        config.validate(dataset.n_rows, dataset.n_features)
-
-    N, M = dataset.n_rows, dataset.n_features
-    K, d = len(patches), dataset.pred_dim
-    rows = np.stack([p.rows for p in patches])
-    feats = np.stack([p.features for p in patches])
+        config = replace(config, n=patches.rows.shape[1],
+                         m=patches.features.shape[1], K=len(patches))
+        config.validate(N, M)
+        for idx, top in ((patches.rows, N), (patches.features, M)):
+            if idx.min() < 0 or idx.max() >= top or (np.diff(idx, axis=1) <= 0).any():
+                raise InvalidSize(f"patch indices must increase strictly within [0, {top})")
+    rows, feats, K = patches.rows, patches.features, len(patches)
     feat_mask = np.zeros((K, M), dtype=bool)
     feat_mask[np.arange(K)[:, None], feats] = True
 
@@ -620,12 +623,11 @@ def save_ensemble(ens: Ensemble, path) -> None:
         "learner": None if learner is None else to_obj(learner, "learner")[0],
         "model": model,
     }
-    rows = np.stack([p.rows for p in ens.patches])
-    feats = np.stack([p.features for p in ens.patches])
     pairs = {} if ens.pair_preds is None else {"pair_preds": ens.pair_preds}
     np.savez_compressed(
         path, header=np.frombuffer(json.dumps(header).encode("utf8"), dtype=np.uint8),
-        X=ens.dataset.X, Y=ens.dataset.Y, rows=rows, feats=feats,
+        X=ens.dataset.X, Y=ens.dataset.Y, rows=ens.patches.rows,
+        feats=ens.patches.features,
         obs_mask=ens.obs_mask, feat_mask=ens.feat_mask, sums=ens.sums,
         counts=ens.counts, **pairs,
         **{f"model_{name}": a for name, a in arrays.items()},
@@ -650,8 +652,7 @@ def load_ensemble(path) -> Ensemble:
                           use_buffer=cfg_echo["use_buffer"],
                           learner=None if learner is None
                           else from_obj(learner, "learner"))
-        patches = [Minipatch(rows=r, features=f)
-                   for r, f in zip(zf["rows"], zf["feats"])]
+        patches = patch_array(zf["rows"], zf["feats"])
         models = from_obj(header["model"], "model", {
             name.removeprefix("model_"): zf[name]
             for name in zf.files if name.startswith("model_")})

@@ -24,7 +24,7 @@ from .core import (
     CoverageFailure, Dataset, DimensionMismatch, InvalidSize, MPConfig,
     NoSampler, Task, TooLarge, error_vector,
 )
-from .ensemble import Minipatch, fit_patch_models, patch_sums, sample_minipatches
+from .ensemble import fit_patch_models, patch_array, patch_sums, sample_minipatches
 from .learners import RidgeLearner
 from .rng import generator, spawn_seed
 
@@ -90,10 +90,11 @@ class ExhaustiveEnsemble:
             raise DimensionMismatch("x_new must have one entry per feature")
         return self._average(x, lambda rows, fset: i not in rows, i)
 
-    def enumeration(self) -> list[Minipatch]:
-        """The full patch list, reusable as an ensemble patch override."""
-        return [Minipatch(rows=np.array(sorted(rows)), features=feats.copy())
-                for rows, _, feats, _ in self.fits]
+    def enumeration(self) -> np.recarray:
+        """Every patch, in fitting order, as one record array
+        (:func:`patch_array`) reusable as an ensemble patch override."""
+        return patch_array([sorted(rows) for rows, _, _, _ in self.fits],
+                           [feats for _, _, feats, _ in self.fits])
 
 
 def brute_force_predictor(dataset: Dataset, n: int, m: int, learner) -> ExhaustiveEnsemble:
@@ -162,10 +163,8 @@ def monte_carlo_target(train: Dataset, config: MPConfig, j: int, sampler,
     test = sampler(n_test, spawn_seed(seed, "testdata"))
     Z, Y = test.X, test.Y
 
-    K = len(patches)
+    K, rows, feats = len(patches), patches.rows, patches.features
     blocks = min(10, K)
-    rows = np.stack([p.rows for p in patches])
-    feats = np.stack([p.features for p in patches])
     # the occluded ensemble swaps each j-holding patch for a refit on
     # features drawn away from j, in patch order
     holds = np.nonzero((feats == j).any(axis=1))[0]
@@ -227,9 +226,8 @@ def ensemble_conditional_target(ens, j: int, sampler, n_test: int = 10_000,
         raise CoverageFailure(-1, j)
 
     test = sampler(n_test, spawn_seed(seed, "testdata"))
-    sum_all, sum_noj = patch_sums(
-        ens.models, np.stack([p.features for p in ens.patches]), test.X,
-        np.stack([np.ones_like(keep), keep], axis=1))
+    sum_all, sum_noj = patch_sums(ens.models, ens.patches.features, test.X,
+                                  np.stack([np.ones_like(keep), keep], axis=1))
     diffs = _score_gap(train.task, test.Y, sum_all / ens.K,
                        sum_noj / int(keep.sum()), error)
     return MCTarget(value=float(diffs.mean()),

@@ -13,7 +13,7 @@ from mpinfer.core import (
     Dataset, EmptyInput, InvalidSize, MPConfig, Task, TaskMismatch,
 )
 from mpinfer import ensemble
-from mpinfer.ensemble import Ensemble, Minipatch, train_ensemble
+from mpinfer.ensemble import Ensemble, patch_array, train_ensemble
 from mpinfer.learners import (
     ConstantLearner, ConstantModel, RidgeLearner, TreeLearner,
 )
@@ -90,8 +90,7 @@ def constant_ensemble(ds, value, K):
     predicting ``value`` (d,) everywhere, with the fit pass's sums,
     counts and pair predictions that this gives."""
     N, value = ds.n_rows, np.asarray(value, dtype=float)
-    patches = [Minipatch(rows=np.array([0]), features=np.array([0]))
-               for _ in range(K)]
+    patches = patch_array([[0]] * K, [[0]] * K)
     models = ConstantModel(value=np.tile(value, (K, 1)), n_slots=1)
     obs = np.zeros((K, N), dtype=bool)
     feat = np.zeros((K, 2), dtype=bool)

@@ -11,7 +11,7 @@ from mpinfer.core import (
 )
 from mpinfer import ensemble
 from mpinfer.ensemble import (
-    Minipatch, draw_pairs, load_ensemble, sample_minipatches, save_ensemble,
+    draw_pairs, load_ensemble, patch_array, sample_minipatches, save_ensemble,
     train_ensemble,
 )
 from mpinfer.learners import (
@@ -49,7 +49,13 @@ class TestSampling:
         assert any(not np.array_equal(pa.rows, pc.rows) for pa, pc in zip(a, c))
 
     def test_sorted_distinct_in_range(self):
-        for patch in sample_minipatches(9, 7, 4, 3, 25, seed=1):
+        patches = sample_minipatches(9, 7, 4, 3, 25, seed=1)
+        # iterating the records reads what the fields hold
+        assert np.array_equal(np.stack([p.rows for p in patches]), patches.rows)
+        assert np.array_equal(np.stack([p.features for p in patches]), patches.features)
+        assert patches.rows.dtype == np.int64 and patches.rows.shape == (25, 4)
+        assert patches.features.dtype == np.int64 and patches.features.shape == (25, 3)
+        for patch in patches:
             assert np.all(np.diff(patch.rows) > 0)
             assert np.all(np.diff(patch.features) > 0)
             assert patch.rows.min() >= 0 and patch.rows.max() < 9
@@ -227,7 +233,7 @@ class TestTraining:
     def test_coverage_failure_at_build(self):
         X = np.array([[0.0, 1.0], [1.0, 0.0]])
         ds = Dataset(X=X, Y=np.array([1.0, 2.0]), task=Task.REGRESSION)
-        patches = [Minipatch(rows=np.array([0]), features=np.array([0]))]
+        patches = patch_array([[0]], [[0]])
         with pytest.raises(CoverageFailure):
             train_ensemble(ds, MPConfig(seed=0, learner=ConstantLearner()),
                            patches=patches)
@@ -235,7 +241,7 @@ class TestTraining:
     def test_uncovered_row_fails_only_when_queried(self):
         X = np.array([[0.0, 1.0], [1.0, 0.0]])
         ds = Dataset(X=X, Y=np.array([1.0, 2.0]), task=Task.REGRESSION)
-        patches = [Minipatch(rows=np.array([0]), features=np.array([0]))]
+        patches = patch_array([[0]], [[0]])
         ens = train_ensemble(ds, MPConfig(seed=0, learner=ConstantLearner()),
                              patches=patches, check_coverage=False)
         assert ens.loo_prediction(1)[0] == 1.0  # trained on row 0 only
@@ -245,12 +251,27 @@ class TestTraining:
     def test_pair_coverage_failure_names_pair(self):
         ds = toy_dataset(N=6, M=3, seed=4)
         # every patch uses feature 0, so (i, 0) is never jointly excluded
-        patches = [Minipatch(rows=np.array([k % 6]), features=np.array([0]))
-                   for k in range(6)]
+        patches = patch_array([[k % 6] for k in range(6)], [[0]] * 6)
         with pytest.raises(CoverageFailure) as exc:
             train_ensemble(ds, MPConfig(seed=0, learner=ConstantLearner()),
                            patches=patches)
         assert exc.value.j == 0
+
+    @pytest.mark.parametrize("rows, feats", [
+        ([[0, 0], [1, 2], [3, 4]], [[0, 1], [1, 2], [0, 2]]),    # repeated row
+        ([[0, 1], [1, 2], [3, 4]], [[0, 1], [2, 2], [0, 2]]),    # repeated feature
+        ([[1, 0], [1, 2], [3, 4]], [[0, 1], [1, 2], [0, 2]]),    # unsorted rows
+        ([[0, 1], [1, 7], [3, 4]], [[0, 1], [1, 2], [0, 2]]),    # row >= N
+        ([[-1, 1], [1, 2], [3, 4]], [[0, 1], [1, 2], [0, 2]]),   # negative row
+        ([[0, 1], [1, 2], [3, 4]], [[0, 1], [1, 3], [0, 2]]),    # feature >= M
+        ([[0, 1], [1, 2], [3, 4]], [[-1, 1], [1, 2], [0, 2]]),   # negative feature
+    ])
+    def test_patch_override_indices_validated(self, rows, feats):
+        # a repeated row would count a patch as holding a row it misses
+        ds = toy_dataset(N=6, M=3, seed=4)
+        with pytest.raises(InvalidSize):
+            train_ensemble(ds, MPConfig(seed=0, learner=ConstantLearner()),
+                           patches=patch_array(rows, feats), check_coverage=False)
 
 
 class TestAggregation:
@@ -258,24 +279,20 @@ class TestAggregation:
         # patches {1} and {2} with mean-of-rows models: loo(0) = (2+3)/2
         X = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
         ds = Dataset(X=X, Y=np.array([1.0, 2.0, 3.0]), task=Task.REGRESSION)
-        patches = [Minipatch(rows=np.array([1]), features=np.array([0, 1])),
-                   Minipatch(rows=np.array([2]), features=np.array([0, 1]))]
+        patches = patch_array([[1], [2]], [[0, 1], [0, 1]])
         with pytest.raises(InvalidSize):
             # m must stay below M; use single-feature patches instead
             train_ensemble(ds, MPConfig(seed=0, learner=ConstantLearner()),
                            patches=patches)
-        patches = [Minipatch(rows=np.array([1]), features=np.array([0])),
-                   Minipatch(rows=np.array([2]), features=np.array([0]))]
+        patches = patch_array([[1], [2]], [[0], [0]])
         ens = train_ensemble(ds, MPConfig(seed=0, learner=ConstantLearner()),
                              patches=patches, check_coverage=False)
         assert ens.loo_prediction(0)[0] == pytest.approx(2.5, abs=1e-12)
 
     def test_single_qualifying_patch_verbatim(self):
         ds = toy_dataset(N=8, M=4, seed=6)
-        patches = [Minipatch(rows=np.array([0, 1, 2, 3, 4, 5, 6]),
-                             features=np.array([0, 1])),
-                   Minipatch(rows=np.array([1, 2, 3, 4, 5, 6, 7]),
-                             features=np.array([2, 3]))]
+        patches = patch_array([[0, 1, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6, 7]],
+                              [[0, 1], [2, 3]])
         ens = train_ensemble(ds, MPConfig(seed=0, learner=RidgeLearner()),
                              patches=patches, check_coverage=False)
         assert np.array_equal(ens.loo_prediction(7), ens.cache[0, 7])
@@ -372,6 +389,8 @@ class TestSnapshot:
         assert np.array_equal(back.cache, ens.cache)
         assert np.array_equal(back.obs_mask, ens.obs_mask)
         assert np.array_equal(back.feat_mask, ens.feat_mask)
+        assert np.array_equal(back.patches.rows, ens.patches.rows)
+        assert np.array_equal(back.patches.features, ens.patches.features)
         for i in range(ds.n_rows):
             assert np.array_equal(back.loo_prediction(i), ens.loo_prediction(i))
         x_new = ds.X.mean(axis=0)
@@ -440,10 +459,56 @@ class TestSnapshot:
         for name in ("sums", "counts", "pair_preds"):
             assert getattr(back, name).tobytes() == getattr(ens, name).tobytes()
 
+    def test_layout_4_from_literal_arrays(self, tmp_path):
+        # A layout-4 file as a writer of one index list per patch made it:
+        # rows (K, n) and feats (K, m) int64 stacked from those lists.
+        # Patches {0, 1}, {1, 2}, {2, 3} of constant (mean-of-rows) models
+        # holding features 0, 1, 0 predict 1.5, 3 and 6.
+        rows, feats = [[0, 1], [1, 2], [2, 3]], [[0], [1], [0]]
+        X = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 1.0], [3.0, 0.0]])
+        Y = np.array([1.0, 2.0, 4.0, 8.0])
+        header = {
+            "version": 4, "task": "regression", "n_classes": 1,
+            "feature_names": [], "label_names": [],
+            "config": {"n": 2, "m": 1, "K": 3, "seed": 0, "alpha": 0.1,
+                       "buffer_c": 1.0, "use_buffer": True,
+                       "learner": "ConstantLearner()"},
+            "learner": {"name": "ConstantLearner", "params": {}},
+            "model": {"name": "ConstantModel", "params": {"n_slots": 1}},
+        }
+        sums = np.array([[9.0, 3.0, 6.0], [6.0, 0.0, 6.0],
+                         [1.5, 0.0, 1.5], [4.5, 3.0, 1.5]])[..., None]
+        counts = np.array([[2.0, 1.0, 1.0], [1.0, 0.0, 1.0],
+                           [1.0, 0.0, 1.0], [2.0, 1.0, 1.0]])
+        path = tmp_path / "layout4.npz"
+        np.savez_compressed(
+            path, header=np.frombuffer(json.dumps(header).encode("utf8"), dtype=np.uint8),
+            X=X, Y=Y, rows=np.stack([np.array(r) for r in rows]),
+            feats=np.stack([np.array(f) for f in feats]),
+            obs_mask=np.array([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]], dtype=bool),
+            feat_mask=np.array([[1, 0], [0, 1], [1, 0]], dtype=bool),
+            sums=sums, counts=counts, model_value=np.array([[1.5], [3.0], [6.0]]))
+        back = load_ensemble(path)
+        assert back.loo_all().tobytes() == np.array([[4.5], [6.0], [1.5], [2.25]]).tobytes()
+        assert back.patches.rows.dtype == back.patches.features.dtype == np.int64
+        assert back.patches.rows.tolist() == rows and back.patches.features.tolist() == feats
+        # training on the same patches writes the same layout-4 arrays
+        ds = Dataset(X=X, Y=Y, task=Task.REGRESSION)
+        ens = train_ensemble(ds, MPConfig(seed=0, learner=ConstantLearner()),
+                             patches=patch_array(rows, feats), check_coverage=False)
+        assert ens.loo_all().tobytes() == back.loo_all().tobytes()
+        save_ensemble(ens, tmp_path / "now.npz")
+        with np.load(path) as old, np.load(tmp_path / "now.npz") as now:
+            assert sorted(old.files) == sorted(now.files)
+            for name in old.files:
+                if name != "header":
+                    assert old[name].dtype == now[name].dtype, name
+                    assert old[name].tobytes() == now[name].tobytes(), name
+
     def test_round_trip_without_pairs(self, tmp_path):
         # rows that fewer than two patches exclude leave no B-hat pairs
         ds = toy_dataset(N=4, M=3, seed=5)
-        patches = [Minipatch(rows=np.array([0, 1, 2]), features=np.array([0]))]
+        patches = patch_array([[0, 1, 2]], [[0]])
         ens = train_ensemble(ds, MPConfig(seed=0, learner=ConstantLearner()),
                              patches=patches, check_coverage=False)
         path = tmp_path / "snap.npz"
@@ -452,7 +517,7 @@ class TestSnapshot:
         assert ens.pair_preds is None and back.pair_preds is None
         assert np.array_equal(back.loo_prediction(3), ens.loo_prediction(3))
 
-    @pytest.mark.parametrize("name", ["Minipatch", "Ensemble", "FittedModel"])
+    @pytest.mark.parametrize("name", ["Dataset", "Ensemble", "FittedModel"])
     def test_unknown_model_type_refused(self, tmp_path, name):
         # names that exist on the package's modules are refused all the same
         _, path = self._saved(tmp_path)

@@ -7,7 +7,7 @@ from scipy.stats import norm as scipy_norm
 from mpinfer.core import (
     CoverageFailure, Dataset, DegenerateDenominator, MPConfig, Task,
 )
-from mpinfer.ensemble import Minipatch, draw_pairs, train_ensemble
+from mpinfer.ensemble import draw_pairs, patch_array, train_ensemble
 from mpinfer.learners import FIT_CALLS, ConstantLearner, RidgeLearner
 from mpinfer.loco import (
     OcclusionResult, buffered_interval, estimate_B, infer_all, infer_feature,
@@ -159,7 +159,7 @@ class TestEstimateB:
 
     def test_needs_two_qualifying_patches(self):
         ds = toy_dataset(N=4, M=3, seed=5)
-        patches = [Minipatch(rows=np.array([0, 1, 2]), features=np.array([0]))]
+        patches = patch_array([[0, 1, 2]], [[0]])
         ens = train_ensemble(ds, MPConfig(seed=0, learner=ConstantLearner()),
                              patches=patches, check_coverage=False)
         with pytest.raises(CoverageFailure):

@@ -105,3 +105,43 @@ def test_conformal_reads_new_point_loo_in_chunks():
     assert whole_new_point_loo(source) == []
     assert "loo_new_chunks" in {node.attr for node in ast.walk(ast.parse(source))
                                 if isinstance(node, ast.Attribute)}
+
+
+def per_patch_restacks(source: str) -> list[tuple[int, str]]:
+    """(line, field) of every comprehension whose elements read ``.rows``
+    or ``.features`` of one of its own loop variables: a per-patch loop
+    over index matrices that the patch record array already holds whole."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp,
+                                 ast.DictComp)):
+            continue
+        loop_vars = {name.id for gen in node.generators
+                     for name in ast.walk(gen.target) if isinstance(name, ast.Name)}
+        elements = ([node.key, node.value] if isinstance(node, ast.DictComp)
+                    else [node.elt])
+        found += [(attr.lineno, attr.attr) for elt in elements
+                  for attr in ast.walk(elt)
+                  if isinstance(attr, ast.Attribute)
+                  and attr.attr in ("rows", "features")
+                  and isinstance(attr.value, ast.Name) and attr.value.id in loop_vars]
+    return sorted(found)
+
+
+def test_detects_per_patch_restacks():
+    source = ("rows = np.stack([p.rows for p in patches])\n"
+              "feats = [q.features for q in ens.patches]\n"
+              "ns = {len(p.rows) for p in patches}\n"
+              "pairs = list((r.rows, f) for r, f in zip(a, b))\n"
+              "by_k = {k: p.features for k, p in enumerate(patches)}\n"
+              "fine = [report.rows for _ in range(3)]\n"
+              "whole = patches.rows\n")
+    assert per_patch_restacks(source) == [
+        (1, "rows"), (2, "features"), (3, "rows"), (4, "rows"), (5, "features")]
+
+
+def test_no_module_restacks_patches_one_by_one():
+    offenders = [f"{path.name}:{line}: .{field}"
+                 for path in sorted(PACKAGE.glob("*.py"))
+                 for line, field in per_patch_restacks(path.read_text())]
+    assert offenders == []
