@@ -118,8 +118,14 @@ class LinearModel(FittedModel):
 
     def predict_batch(self, Z: np.ndarray) -> np.ndarray:
         Z = _check_block(self, Z)
-        scores = (np.einsum("...nm,...md->...nd", Z, self.coef)
-                  + self.intercept[..., None, :])
+        if self.pred_dim > 1 and Z.ndim == self.coef.ndim == 3 and len(Z) == len(self.coef):
+            # at d > 1 a loop of per-patch einsums beats the stacked one
+            scores = np.empty(Z.shape[:-1] + (self.pred_dim,))
+            for z, c, out in zip(Z, self.coef, scores):
+                np.einsum("nm,md->nd", z, c, out=out)
+        else:
+            scores = np.einsum("...nm,...md->...nd", Z, self.coef)
+        scores += self.intercept[..., None, :]
         if self.task == Task.REGRESSION:
             return scores
         # softmax, stabilised per row

@@ -7,9 +7,11 @@ absolute error everywhere in (0, 1), comfortably inside the 1e-10
 contract the inference code relies on.
 
 Every erfc is the platform's libm ``math.erfc``, called once per element
-(and once per draw in the Halley step, on whichever tail avoids
+(and exactly once per draw in the Halley step, on whichever tail avoids
 cancellation), so the Gaussian stream built on :func:`norm_ppf` does not
-depend on a numpy erfc approximation.
+depend on a numpy erfc approximation.  The quantile works in place, so
+beside p and its result it holds about three arrays of p's size;
+``rng.standard_normal`` calls it on fixed blocks, writing into its output.
 """
 
 from __future__ import annotations
@@ -58,64 +60,86 @@ def norm_sf(x):
     return 0.5 * _erfc(x / _SQRT2)
 
 
-def _acklam(p: np.ndarray) -> np.ndarray:
-    z = np.empty_like(p)
+def _horner(x: np.ndarray, coefs: tuple, out: np.ndarray | None = None) -> np.ndarray:
+    """((c0 x + c1) x + ...) x + c_last, in one array (``out`` if given)."""
+    acc = np.multiply(x, coefs[0], out=out)
+    for c in coefs[1:-1]:
+        acc += c
+        acc *= x
+    acc += coefs[-1]
+    return acc
 
-    lo = p < _P_LOW
-    hi = p > 1.0 - _P_LOW
-    mid = ~(lo | hi)
 
-    if lo.any():
-        q = np.sqrt(-2.0 * np.log(p[lo]))
-        z[lo] = ((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-                 / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    if hi.any():
-        q = np.sqrt(-2.0 * np.log(1.0 - p[hi]))
-        z[hi] = -((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-                  / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    if mid.any():
-        q = p[mid] - 0.5
-        r = q * q
-        z[mid] = ((((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q
-                  / (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0))
+def _acklam(p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Acklam's approximation at 1-D p in (0, 1): the central formula on
+    every element, then the two tails overwritten through their masks."""
+    r = p - 0.5
+    r *= r
+    den = _horner(r, _B + (1.0,))
+    z = _horner(r, _A, out)
+    z *= np.subtract(p, 0.5, out=r)
+    z /= den
+    lo, hi = p < _P_LOW, p > 1.0 - _P_LOW
+    for tail, p_tail, sign in ((lo, p[lo], 1.0), (hi, 1.0 - p[hi], -1.0)):
+        q = np.sqrt(-2.0 * np.log(p_tail))
+        z[tail] = _horner(q, _C) / _horner(q, _D + (1.0,)) * sign
     return z
 
 
-def norm_ppf(p):
+def _halley(p: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """One Halley step on the 1-D estimate z of norm_ppf(p), in place:
+    e = Phi(z) - p, u = e * sqrt(2*pi) * exp(z^2/2).  The CDF error is
+    evaluated on whichever tail avoids cancellation (1 - p is exact for
+    p >= 0.5), one erfc per draw, and the exp factor switches to log space
+    where z^2/2 would overflow.  ``a`` holds each temporary in turn."""
+    upper = p > 0.5
+    a = np.where(upper, z, -z)
+    e = _erfc(np.divide(a, _SQRT2, out=a))
+    e *= 0.5
+    np.copyto(a, p)                                  # a = where(upper, 1 - p, p)
+    e -= np.subtract(1.0, p, out=a, where=upper)
+    np.negative(e, out=e, where=upper)
+    t = np.divide(np.multiply(z, z, out=a), 2.0, out=a)
+    big = t > 700.0
+    if big.any():
+        with np.errstate(divide="ignore"):
+            u_big = np.sign(e[big]) * np.exp(
+                np.log(np.abs(e[big])) + math.log(_SQRT_2PI) + t[big])
+    u = np.multiply(e, _SQRT_2PI, out=e)
+    u *= np.exp(np.minimum(t, 700.0, out=t), out=t)
+    if big.any():
+        u[big] = u_big
+    a = np.multiply(z, u, out=a)
+    a /= 2.0
+    a += 1.0
+    z -= np.divide(u, a, out=u)
+    return z
+
+
+def norm_ppf(p, out: np.ndarray | None = None):
     """Quantile of the standard normal distribution.
 
     Accepts a scalar or array of probabilities in [0, 1]; returns -inf/+inf
     at the endpoints.  Raises ValueError outside [0, 1], NaN included.
+    ``out``, a C-contiguous float array of p's shape, receives the result.
     """
     scalar = np.isscalar(p)
     p_arr = np.asarray(p, dtype=float)
     if not ((p_arr >= 0.0) & (p_arr <= 1.0)).all():
         raise ValueError("probabilities must lie in [0, 1]")
 
-    z = np.empty_like(p_arr)
-    z[p_arr == 0.0] = -np.inf
-    z[p_arr == 1.0] = np.inf
-
-    interior = (p_arr > 0.0) & (p_arr < 1.0)
-    if interior.any():
-        pi = p_arr[interior]
-        zi = _acklam(pi)
-        # One Halley step: e = Phi(z) - p, u = e * sqrt(2*pi) * exp(z^2/2).
-        # The CDF error is evaluated on whichever tail avoids cancellation
-        # (1 - p is exact for p >= 0.5), one erfc per draw, and the exp
-        # factor switches to log space where z^2/2 would overflow.
-        upper = pi > 0.5
-        e = 0.5 * _erfc(np.where(upper, zi, -zi) / _SQRT2) - np.where(upper, 1.0 - pi, pi)
-        e = np.where(upper, -e, e)
-        t = zi * zi / 2.0
-        u = e * _SQRT_2PI * np.exp(np.minimum(t, 700.0))
-        big = t > 700.0
-        if big.any():
-            with np.errstate(divide="ignore"):
-                u[big] = np.sign(e[big]) * np.exp(
-                    np.log(np.abs(e[big])) + math.log(_SQRT_2PI) + t[big])
-        zi = zi - u / (1.0 + zi * u / 2.0)
-        z[interior] = zi
+    if out is not None and not (out.flags.c_contiguous and out.shape == p_arr.shape):
+        raise ValueError("out must be a C-contiguous array of p's shape")
+    z = np.empty(p_arr.shape) if out is None else out
+    flat_p, flat_z = p_arr.reshape(-1), z.reshape(-1)
+    interior = (flat_p > 0.0) & (flat_p < 1.0)
+    if interior.all():
+        _halley(flat_p, _acklam(flat_p, flat_z))
+    else:
+        flat_z[flat_p == 0.0] = -np.inf
+        flat_z[flat_p == 1.0] = np.inf
+        pi = flat_p[interior]
+        flat_z[interior] = _halley(pi, _acklam(pi))
 
     if scalar:
         return float(z)

@@ -9,7 +9,10 @@ never on scheduling.
 
 Gaussians are produced by applying the package's own inverse normal CDF
 to open-interval uniforms built from 53 random bits, keeping the whole
-transform documented and platform independent.
+transform documented and platform independent.  Arrays are filled in
+blocks of ``_BLOCK`` draws (128 KiB), so only a few block-sized temporaries
+sit beside the output.  The bits do not depend on the blocks: Philox's
+uint64 draws carry no per-call buffer and the transform is elementwise.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ __all__ = ["substream_key", "spawn_seed", "generator", "uniform_open", "standard
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15  # splitmix64 increment
+_BLOCK = 1 << 14             # Gaussian draws per block
 
 
 def _mix(h: int) -> int:
@@ -67,5 +71,11 @@ def uniform_open(gen: np.random.Generator, size=None) -> np.ndarray:
 
 
 def standard_normal(gen: np.random.Generator, size=None) -> np.ndarray:
-    """Standard normals via inverse-CDF transform of open uniforms."""
-    return norm_ppf(uniform_open(gen, size=size))
+    """Standard normals via inverse-CDF transform of open uniforms, made
+    ``_BLOCK`` at a time in the output; a float for ``size`` None or ()."""
+    out = np.empty(() if size is None else size)
+    if out.ndim == 0:
+        return norm_ppf(uniform_open(gen, size=size))
+    for block in np.split(out.reshape(-1), range(_BLOCK, out.size, _BLOCK)):
+        norm_ppf(uniform_open(gen, size=block.size), out=block)
+    return out

@@ -11,7 +11,9 @@ Three models over Gaussian features X ~ N(0, Sigma):
 Regression adds N(0, 1) noise; classification draws labels from a
 logistic model Bernoulli(1 / (1 + exp(-f))).  All randomness flows
 through the package's inverse-CDF Gaussian transform, so output is
-byte-identical for a given spec across platforms.  sign(0) is 0.
+byte-identical for a given spec across platforms.  sign(0) is 0.  The
+features are drawn block by block into X (see :mod:`mpinfer.rng`) and
+correlated in place, so X is the only (N, M) array a draw holds.
 """
 
 from __future__ import annotations
@@ -113,11 +115,10 @@ def _draw_X(spec: SimSpec) -> np.ndarray:
     if spec.model != SimModel.CORRELATED or spec.rho == 0.0:
         return Z
     diag, sub = _bidiagonal_factor(spec.M, spec.rho)
-    X = np.empty_like(Z)
-    X[:, 0] = Z[:, 0]
-    for j in range(1, spec.M):
-        X[:, j] = sub[j] * Z[:, j - 1] + diag[j] * Z[:, j]
-    return X
+    # in place, last column first: column j reads only the untouched j-1, j
+    for j in range(spec.M - 1, 0, -1):
+        Z[:, j] = sub[j] * Z[:, j - 1] + diag[j] * Z[:, j]
+    return Z
 
 
 def _signal(spec: SimSpec, X: np.ndarray) -> np.ndarray:
@@ -141,7 +142,8 @@ def generate(spec: SimSpec) -> Dataset:
     if spec.task == Task.REGRESSION:
         Y = f + standard_normal(gen, spec.N)
         return Dataset(X=X, Y=Y, task=Task.REGRESSION)
-    prob = 1.0 / (1.0 + np.exp(-f))
+    with np.errstate(over="ignore"):     # exp(-f) = inf gives prob 0, its limit
+        prob = 1.0 / (1.0 + np.exp(-f))
     Y = (uniform_open(gen, spec.N) < prob).astype(np.int64)
     return Dataset(X=X, Y=Y, task=Task.CLASSIFICATION, n_classes=2,
                    label_names=("0", "1"))

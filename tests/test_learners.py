@@ -211,6 +211,11 @@ def test_batched_ridge_fits_match_single_fits(task):
         one = learner.fit(X[r][:, f], Y[r], task, n_classes)
         assert np.array_equal(model.coef, one.coef)
         assert np.array_equal(model.intercept, one.intercept)
+    # a stack predicts each patch's rows bit-equal to that patch alone
+    Z = X[:, feats].swapaxes(0, 1)
+    stacked = models.predict_batch(Z)
+    for k in range(7):
+        assert np.array_equal(stacked[k], models.take(k).predict_batch(Z[k]))
 
 
 def test_batched_ridge_fit_rejects_any_singular_patch():

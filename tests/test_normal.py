@@ -1,11 +1,12 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.stats import norm as scipy_norm
 
-from mpinfer import normal
+from mpinfer import normal, rng
 from mpinfer.normal import norm_cdf, norm_ppf, norm_sf
 from mpinfer.rng import generator, standard_normal, uniform_open
 
@@ -149,3 +150,42 @@ def test_standard_normal_stream_is_pinned():
     z = standard_normal(generator(2024, "pinned"), (1000, 50))
     assert hashlib.sha256(z.tobytes()).hexdigest() == (
         "786b33661bd7aad520808f65f8f5ed817c328a5c3e382eacbac009b3a7ae9bd4")
+
+
+# -- blocked draws ---------------------------------------------------------
+# standard_normal fills its output rng._BLOCK draws at a time; the blocks
+# must not change a bit, a type, a shape or the generator's position.
+
+@pytest.mark.parametrize("size", [None, (), 0, 1, 6, 7, 8, 15, (3, 5), (1000, 50)])
+def test_blocked_draws_equal_one_transform(monkeypatch, size):
+    want_gen, got_gen = generator(31, "blocks"), generator(31, "blocks")
+    want = norm_ppf(uniform_open(want_gen, size))
+    monkeypatch.setattr(rng, "_BLOCK", 7)
+    got = standard_normal(got_gen, size)
+    assert type(got) is type(want)
+    if isinstance(want, float):
+        assert got == want
+    else:
+        assert_bits_equal(got, want)
+    assert_bits_equal(standard_normal(got_gen, 9), norm_ppf(uniform_open(want_gen, 9)))
+
+
+def test_blocked_draws_hold_a_few_blocks():
+    out_bytes, block_bytes = 10_000 * 50 * 8, rng._BLOCK * 8
+    gen = generator(3, "memory")
+    tracemalloc.start()
+    try:
+        standard_normal(gen, (10_000, 50))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < out_bytes + 4 * block_bytes
+
+
+def test_ppf_writes_into_out():
+    p = uniform_open(generator(8, "out"), (4, 6))
+    out = np.empty((4, 6))
+    assert norm_ppf(p, out=out) is out
+    assert_bits_equal(out, norm_ppf(p))
+    with pytest.raises(ValueError):
+        norm_ppf(p, out=np.empty((6, 4)).T)

@@ -1,6 +1,10 @@
+import hashlib
+import warnings
+
 import numpy as np
 import pytest
 
+from mpinfer.cli import main
 from mpinfer.core import InvalidSpec, Task
 from mpinfer.simgen import (
     SimSpec, _signal, generate, sampler, sidecar_dict, true_beta,
@@ -43,6 +47,24 @@ class TestGenerate:
         c = generate(SimSpec(model="linear", task="regression", N=100, M=10,
                              snr=3.0, seed=6))
         assert a.X.tobytes() != c.X.tobytes()
+
+    @pytest.mark.parametrize("task,digest", [
+        ("regression", "eb20e540d7845cdff66785f5a29b948b782d33bbb2125bd61caf07a6b2720608"),
+        ("classification", "0149736e89c667d05c3353dacd1b6bd41b664817faf3b524685847d27016999f"),
+    ])
+    def test_correlated_stream_is_pinned(self, task, digest):
+        # recorded from the out-of-place column transform with glibc's libm
+        ds = generate(SimSpec(model="correlated", task=task, N=300, M=16,
+                              snr=2.0, rho=0.45, seed=11))
+        assert hashlib.sha256(ds.X.tobytes() + ds.Y.tobytes()).hexdigest() == digest
+
+    def test_saturated_logistic_warns_nothing(self, tmp_path):
+        # snr 2000 drives exp(-f) to inf on some rows; prob is then its limit 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--model", "linear", "--task", "classification",
+                         "--N", "200", "--M", "20", "--snr", "2000", "--seed", "1",
+                         "--out", str(tmp_path / "sim.csv")]) == 0
 
     def test_null_feature_uncorrelated_with_response(self):
         spec = SimSpec(model="linear", task="regression", N=50_000, M=10,
