@@ -90,6 +90,18 @@ def _settings(spec: SimSpec, config: MPConfig, **extra) -> dict:
     return out
 
 
+def _median(values) -> float:
+    """Median of a non-empty list, bit for bit as ``np.median`` gives it
+    (NaN if any value is; the mean of the two middle values for an even
+    count; -0.0 as 0.0), without the ``numpy.ma`` import that
+    ``np.median``'s first call makes."""
+    s = sorted(values)
+    if any(math.isnan(v) for v in s):
+        return math.nan
+    h = len(s) // 2
+    return (s[h] if len(s) % 2 else (s[h - 1] + s[h]) / 2) + 0.0
+
+
 def summarize_rows(experiment: str, rows: list) -> dict:
     if experiment == "coverage":
         covered = [r["covered"] for r in rows]
@@ -97,14 +109,14 @@ def summarize_rows(experiment: str, rows: list) -> dict:
         return {
             "replicates": len(rows),
             "coverage": float(np.mean(covered)),
-            "median_width": float(np.median(widths)),
+            "median_width": _median(widths),
         }
     if experiment == "width":
         out: dict[str, float] = {}
         sizes = sorted({r["N"] for r in rows})
         for N in sizes:
             ws = [r["width"] for r in rows if r["N"] == N]
-            out[str(N)] = float(np.median(ws))
+            out[str(N)] = _median(ws)
         return {"replicates_per_cell": len(rows) // max(1, len(sizes)),
                 "median_width_by_N": out}
     if experiment == "power":
@@ -128,7 +140,7 @@ def summarize_rows(experiment: str, rows: list) -> dict:
                    "coverage": float(np.mean(covered))}
         if rows and "width" in rows[0]:
             finite = [r["width"] for r in rows if r["width"] is not None]
-            metrics["median_width"] = float(np.median(finite)) if finite else None
+            metrics["median_width"] = _median(finite) if finite else None
         if rows and "set_size" in rows[0]:
             metrics["mean_set_size"] = float(np.mean([r["set_size"] for r in rows]))
         return metrics

@@ -27,7 +27,7 @@ from . import bench as bench_mod
 from .conformal import loo_residuals, predict_intervals_batch, predict_sets_batch
 from .core import (
     CoverageFailure, Dataset, InvalidSpec, MissingColumn, MPConfig,
-    MPInferError, Task, load_dataset, parse_columns, read_csv, save_dataset,
+    MPInferError, Task, load_dataset, read_columns, save_dataset,
 )
 from .ensemble import train_ensemble
 from .learners import learner_from_name
@@ -188,11 +188,14 @@ def _cmd_infer(args) -> int:
 def _read_new_points(path, data: Dataset) -> np.ndarray:
     """New rows as a (T, M) matrix, columns matched to the training
     features by header name; other columns are not read."""
-    header, rows = read_csv(path)
-    missing = [n for n in data.feature_names if n not in header]
-    if missing:
-        raise MissingColumn(f"{path}: no column named {missing[0]!r}")
-    return parse_columns(header, rows, [header.index(n) for n in data.feature_names])
+    def features(header):
+        missing = [n for n in data.feature_names if n not in header]
+        if missing:
+            raise MissingColumn(f"{path}: no column named {missing[0]!r}")
+        return [[header.index(n) for n in data.feature_names]]
+
+    _, (X_new,) = read_columns(path, features)
+    return X_new
 
 
 def _cmd_predict(args) -> int:

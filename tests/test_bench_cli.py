@@ -452,7 +452,7 @@ def malformed_predict_inputs(draw):
     r = draw(st.integers(1, len(lines) - 1))          # a data row
     c = draw(st.integers(0, 2))                       # a feature column
     defect = draw(st.sampled_from(["short", "long", "cell", "drop", "rename",
-                                   "empty", "header-only"]))
+                                   "empty", "header-only", "huge"]))
     # the training file must keep its target: without one of its features
     # it is still valid, but renaming one leaves the new points without it
     if which == "data" and (defect == "drop"
@@ -465,6 +465,8 @@ def malformed_predict_inputs(draw):
     elif defect == "cell":
         lines[r][c] = draw(st.sampled_from(["", " ", "abc", "1.2.3", "nan",
                                             "-inf", "inf", "1e999"]))
+    elif defect == "huge":                            # past csv's field limit
+        lines[r][c] = "1" * 140_000
     elif defect == "rename":
         lines[0][c] = "renamed"
     elif defect == "drop":

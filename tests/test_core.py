@@ -1,10 +1,19 @@
+import tempfile
+import tracemalloc
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mpinfer.cli import _read_new_points
 from mpinfer.core import (
-    Dataset, InvalidClassIndex, MissingColumn, MPConfig, NonFiniteValue,
-    NonNumericCell, Task, TooFewRows, ZeroVarianceFeature, error_score,
-    load_dataset, save_dataset, standardize,
+    Dataset, InvalidClassIndex, InvalidSpec, MissingColumn, MPConfig,
+    MPInferError, NonFiniteValue, NonNumericCell, Task, TooFewRows,
+    ZeroVarianceFeature, error_score, load_dataset, parse_columns, read_csv,
+    save_dataset, standardize,
 )
 from mpinfer.rng import generator, uniform_open
 
@@ -61,6 +70,19 @@ class TestLoadDataset:
         with pytest.raises(TooFewRows):
             load_dataset(path, Task.REGRESSION, "y")
 
+    def test_header_only_file_warns_nothing(self, tmp_path):
+        path = write(tmp_path, "a,b,y\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(TooFewRows, match="no data rows"):
+                load_dataset(path, Task.REGRESSION, "y")
+        assert caught == []
+
+    def test_cell_past_field_limit_is_invalid_spec(self, tmp_path):
+        path = write(tmp_path, "a,b,y\n" + "1" * 140_000 + ",2,3\n4,5,6\n")
+        with pytest.raises(InvalidSpec, match="data.csv: line 2: field larger"):
+            load_dataset(path, Task.REGRESSION, "y")
+
     def test_non_finite(self, tmp_path):
         path = write(tmp_path, "a,b,y\n1,inf,0.5\n3,4,1.5\n")
         with pytest.raises(NonFiniteValue):
@@ -91,6 +113,145 @@ class TestLoadDataset:
         ds2 = load_dataset(out, Task.CLASSIFICATION, "y")
         assert np.array_equal(ds.Y, ds2.Y)
         assert ds2.label_names == ("cat", "dog")
+
+
+def finite_spellings(x: float) -> list[str]:
+    """Ways to write ``x`` that ``float()`` reads back exactly."""
+    out = [repr(x), format(x, ".17g"), format(x, ".17e"), format(x, ".16E")]
+    if x >= 0:
+        out.append("+" + repr(x))
+    if float(int(x)) == x and abs(x) < 1e15:
+        out += [f"{int(x)}.", f"{int(x)}e0"]
+    if 0 < x < 1:
+        out.append(repr(x).removeprefix("0"))               # ".5"
+    return out
+
+
+numbers = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).flatmap(
+        lambda x: st.sampled_from(finite_spellings(x))),
+    st.integers(-10 ** 6, 10 ** 6).map(str),
+)
+odd_cells = st.sampled_from([
+    "nan", "-inf", "inf", "1e999", "", "abc", "1.2.3", "1_0", "1__0",
+    "\u0661\u0662", "\uff11", "0x1", "1\x1c", "\x1f2", "1\x00", "\udcff1"])
+
+
+@st.composite
+def csv_tables(draw):
+    """File bytes of a small headered table whose target column is ``y``.
+    Cells are finite numbers in many spellings, padded with white space
+    or quoted; about half the tables also get odd cells (non-finite,
+    text, spellings only ``float()`` reads, bytes that are not UTF-8),
+    ragged rows and white-space-only lines; one in eight has a header
+    wider than every row.  So both readers are tried."""
+    width = draw(st.integers(2, 4))
+    target = draw(st.integers(0, width))
+    header = [f"x{j}" for j in range(width)]
+    header.insert(target, "y")
+    odd = draw(st.sampled_from([0, 0, 4, 30]))     # 1 in `odd` is odd
+
+    def sometimes() -> bool:
+        return odd > 0 and draw(st.integers(0, odd - 1)) == 0
+
+    def cell() -> str:
+        text = draw(odd_cells if sometimes() else numbers)
+        pad = st.sampled_from(["", "", " ", "\t", " \t ", "\u3000"])
+        text = draw(pad) + text + draw(pad)
+        return '"' + text + '"' if draw(st.integers(0, 5)) == 0 else text
+
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 5))):
+        row = [cell() for _ in header]
+        if sometimes():                                     # ragged
+            row = row[:-1] if draw(st.booleans()) else row + ["1"]
+        lines.append(",".join(row))
+    if draw(st.integers(0, 7)) == 0:                # every row one short
+        lines[0] += ",z"
+    for _ in range(draw(st.integers(0, 2))):
+        blank = [" ", "\t"] if sometimes() else [""]
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(blank)))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    text = bom + end.join(lines) + draw(st.sampled_from([end, ""]))
+    return text.encode("utf8", "surrogateescape")
+
+
+def outcome(read):
+    """What ``read()`` returns, or the type and message of its error."""
+    try:
+        return read()
+    except MPInferError as exc:
+        return type(exc), str(exc)
+
+
+def reference_dataset(path) -> Dataset:
+    """``load_dataset(path, REGRESSION, "y")`` through the csv reader."""
+    header, rows = read_csv(path)
+    if "y" not in header:
+        raise MissingColumn("no column named 'y'")
+    t = header.index("y")
+    features = [i for i in range(len(header)) if i != t]
+    X = parse_columns(header, rows, features)
+    Y = parse_columns(header, rows, [t])[:, 0]
+    return Dataset(X=X, Y=Y, task=Task.REGRESSION,
+                   feature_names=tuple(header[i] for i in features))
+
+
+def reference_new_points(path, names) -> np.ndarray:
+    header, rows = read_csv(path)
+    missing = [n for n in names if n not in header]
+    if missing:
+        raise MissingColumn(f"{path}: no column named {missing[0]!r}")
+    return parse_columns(header, rows, [header.index(n) for n in names])
+
+
+def same(a, b) -> bool:
+    if isinstance(a, Dataset) and isinstance(b, Dataset):
+        return (a.feature_names == b.feature_names and same(a.X, b.X)
+                and same(a.Y, b.Y))
+    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
+        return a.shape == b.shape and a.dtype == b.dtype \
+            and a.tobytes() == b.tobytes()
+    return a == b
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(csv_tables(), st.permutations(["x0", "x1"]))
+def test_readers_match_csv_reference(table, names):
+    """numpy's reader and the csv reader agree bit for bit on every
+    table, or raise the same error type with the same message."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        path.write_bytes(table)
+        assert same(outcome(lambda: load_dataset(path, Task.REGRESSION, "y")),
+                    outcome(lambda: reference_dataset(path)))
+        model = Dataset(X=np.eye(2), Y=np.zeros(2), task=Task.REGRESSION,
+                        feature_names=tuple(names))
+        assert same(outcome(lambda: _read_new_points(path, model)),
+                    outcome(lambda: reference_new_points(path, names)))
+
+
+def test_new_points_read_in_little_more_than_their_matrix(tmp_path):
+    """20,000 x 50 new points peak under 3x the float matrix's bytes:
+    no cell is held as a Python string."""
+    T, M = 20_000, 50
+    X = np.random.default_rng(0).standard_normal((T, M))
+    names = [f"x{j}" for j in range(M)]
+    path = tmp_path / "new.csv"
+    np.savetxt(path, X, fmt="%.17g", delimiter=",", header=",".join(names),
+               comments="")
+    model = Dataset(X=np.eye(2, M), Y=np.zeros(2), task=Task.REGRESSION,
+                    feature_names=tuple(names))
+    tracemalloc.start()
+    try:
+        X_new = _read_new_points(path, model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(X_new, X)
+    assert peak < 3 * X.nbytes, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
 class TestDatasetInvariants:
