@@ -14,27 +14,29 @@ M, d) accumulator, gathers its predictions at the B-hat pairs, and drops
 the buffer.  No K x N prediction array is kept, and no model is ever
 refit after training.
 
+One function turns a block of patch models into predictions,
+:func:`_block_predictions`: the fit pass, the cache rebuild and the
+weighted sums at new points (:func:`patch_sums`, for new-point LOO and
+the oracles) all go through it.  A linear stack predicts by one GEMM of
+its coefficients scattered over all M features against X, plus the
+intercepts, then a softmax for classification (:func:`_linear_scores`),
+so it agrees with single-row ``predict`` up to rounding; every other
+stack predicts through ``predict_batch``, the single-model reference,
+bit for bit.  Weighted sums of an affine (ridge regression) stack skip
+the predictions: its coefficient rows are summed first and meet the
+points once (:func:`_affine_sums`).
+
 Memory: the sums cost N*(1 + M)*d doubles and the counts N*(1 + M); a
 fit block's buffer is its patches times N*d doubles.  New-point LOO
 comes in balanced chunks of new points (:meth:`Ensemble.loo_new_chunks`)
 whose (N, t, d) arrays, with one temporary of that size, stay within
 _BLOCK_BYTES, so a call's memory does not grow with the number of new
-points: an affine stack's excluding coefficient sums (N, M + 1) are
-built once per call and meet each chunk as one GEMM.  Model predictions
-at new points, for new-point LOO and for the oracles' targets, go
-through the blocked masked sums of :func:`patch_sums`, where a linear
-classification block is one GEMM of its scattered coefficients and a
-softmax.  Every patch fit, the ensemble's and the oracles', goes through
+points.  Every patch fit, the ensemble's and the oracles', goes through
 :func:`fit_patch_models`, whose fixed blocks (one batched ridge solve
 each) worker threads take whole and whose block sums are added in block
-order, so output is byte-identical for any thread count.  An affine
-(ridge regression) block predicts with one GEMM, its coefficients
-scattered over all M features (the scatter :func:`patch_sums` uses)
-times X.T, plus the intercepts; so it equals single-row ``predict`` up
-to rounding, not bit for bit, as do linear models' sums at new points.
-Any other stack predicts through ``predict_batch``.  A snapshot (layout
-4) keeps the stack's arrays in its .npz beside the masks, sums, counts
-and B-hat pair predictions.
+order, so output is byte-identical for any thread count.  A snapshot
+(layout 4) keeps the stack's arrays in its .npz beside the masks, sums,
+counts and B-hat pair predictions.
 """
 
 from __future__ import annotations
@@ -175,7 +177,8 @@ class Ensemble:
         what the pass summed.  Never stored: K*N*d doubles."""
         out = np.empty((self.K, self.dataset.n_rows, self.dataset.pred_dim))
         for lo, stack, feats in self._blocks():
-            _block_predictions(stack, feats, self.dataset.X, out[lo:lo + len(feats)])
+            out[lo:lo + len(feats)] = _block_predictions(
+                stack, feats, self.dataset.X).swapaxes(1, 2)
         return out
 
     def pair_predictions(self, pairs: np.ndarray) -> np.ndarray:
@@ -183,7 +186,8 @@ class Ensemble:
         i, rebuilt from the stack as the fit pass gathered them."""
         out = np.empty(pairs.shape + (self.dataset.pred_dim,))
         for lo, stack, feats in self._blocks():
-            _gather(pairs, lo, _block_predictions(stack, feats, self.dataset.X), out)
+            _gather(pairs, lo,
+                    _block_predictions(stack, feats, self.dataset.X).swapaxes(1, 2), out)
         return out
 
     def _blocks(self):
@@ -243,7 +247,7 @@ class Ensemble:
                 yield (X_new[a:b] @ coef + intercept).T[..., None]
         else:
             for a, b in chunks:
-                yield _point_sums(self.models, feats, X_new[a:b], W, T)
+                yield _point_sums(self.models, feats, X_new[a:b], W)
 
     def loo_new_chunks(self, X_new: np.ndarray):
         """Per-row LOO predictions at new points, as (N, t, d) arrays for
@@ -348,7 +352,7 @@ def patch_sums(models: FittedModel, feats: np.ndarray, X: np.ndarray,
     if _affine(models):
         acc = _affine_sums(models, feats, W, M)
         return (acc[:, :M] @ X.T + acc[:, M:])[..., None]
-    return _point_sums(models, feats, X, W, X.shape[0])
+    return _point_sums(models, feats, X, W)
 
 
 def _affine_sums(models: LinearModel, feats: np.ndarray, W: np.ndarray,
@@ -367,43 +371,22 @@ def _affine_sums(models: LinearModel, feats: np.ndarray, W: np.ndarray,
 
 
 def _point_sums(models: FittedModel, feats: np.ndarray, X: np.ndarray,
-                W: np.ndarray, points: int) -> np.ndarray:
-    """:func:`patch_sums` of a non-affine stack at points X, a chunk of
-    the ``points`` points of the call, in blocks of patches.  A linear
-    classification block is one GEMM and a softmax (:func:`_linear_probs`)
-    and holds its probabilities and coefficient rows at X; any other
-    block predicts through ``predict_batch`` and holds its predictions
-    and gathered points, sized for all ``points`` points, so that its
-    blocks do not depend on the chunking.  The sums are formed
-    point-major, predictions.T @ weights."""
+                W: np.ndarray) -> np.ndarray:
+    """:func:`patch_sums` of a non-affine stack at points X, in blocks of
+    patches that each hold their predictions (:func:`_block_predictions`)
+    and their coefficient rows or gathered points at X.  The sums are
+    formed class-major, predictions.T @ weights."""
     (T, M), (K, S), d = X.shape, W.shape, models.pred_dim
-    linear = isinstance(models, LinearModel)
-    per_patch = d * (T + M + 1) if linear else points * (d + feats.shape[1])
-    # per patch: a weight column, or per_patch doubles
-    step = max(1, _BLOCK_BYTES // (8 * max(S, per_patch)))
-    acc = np.zeros((d, T, S) if linear else (T, d, S))
+    inputs = d * (M + 1) if isinstance(models, LinearModel) else T * feats.shape[1]
+    # per patch: a weight column, or its predictions and inputs
+    step = max(1, _BLOCK_BYTES // (8 * max(S, d * T + inputs)))
+    acc = np.zeros((d, T, S))
     flat = acc.reshape(-1, S)
     for lo in range(0, K, step):
-        blk, f = models.take(slice(lo, lo + step)), feats[lo:lo + step]
-        preds = (_linear_probs(blk, f, X) if linear
-                 else blk.predict_batch(X[:, f].swapaxes(0, 1)))
-        flat += preds.reshape(f.shape[0], -1).T @ W[lo:lo + step].astype(float)
-    return acc.transpose(2, 1, 0) if linear else acc.transpose(2, 0, 1)
-
-
-def _linear_probs(models: LinearModel, feats: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Class probabilities (B, d, T) of a block of linear classifiers at
-    points X (T, M): the logits are one GEMM of the scattered coefficient
-    rows against X, then a softmax over the classes, in place and
-    stabilised as in ``predict_batch``; equal to it up to rounding."""
-    (B, d), M = models.intercept.shape, X.shape[1]
-    rows = _coef_rows(models, feats, M)
-    probs = (rows[..., :M].reshape(B * d, M) @ X.T).reshape(B, d, -1)
-    probs += rows[..., M:]
-    probs -= probs.max(axis=1, keepdims=True)
-    np.exp(probs, out=probs)
-    probs /= probs.sum(axis=1, keepdims=True)
-    return probs
+        preds = _block_predictions(models.take(slice(lo, lo + step)),
+                                   feats[lo:lo + step], X)
+        flat += preds.reshape(len(preds), -1).T @ W[lo:lo + step].astype(float)
+    return acc.transpose(2, 1, 0)
 
 
 def _affine(models: FittedModel) -> bool:
@@ -457,25 +440,42 @@ def _fit_step(n: int, m: int, d: int) -> int:
     return max(1, _FIT_BLOCK_BYTES // (8 * n * (m + d)))
 
 
-def _block_predictions(stack: FittedModel, feats: np.ndarray, X: np.ndarray,
-                       out: np.ndarray | None = None) -> np.ndarray:
-    """Predictions (B, N, d) of a block of patch models at every row of
-    X.  An affine block is one GEMM of its coefficient rows against X;
-    any other block predicts in sub-blocks whose gathered rows stay
-    within _FIT_BLOCK_BYTES."""
-    (N, M), (B, m) = X.shape, feats.shape
-    if out is None:
-        out = np.empty((B, N, stack.pred_dim))
-    if _affine(stack):
-        coef = _coef_rows(stack, feats, M)[:, 0]
-        np.matmul(coef[:, :M], X.T, out=out[..., 0])
-        out[..., 0] += coef[:, M:]
-        return out
-    sub = max(1, _FIT_BLOCK_BYTES // (8 * N * m))
+def _block_predictions(stack: FittedModel, feats: np.ndarray,
+                       X: np.ndarray) -> np.ndarray:
+    """Predictions (B, d, T) of a block of patch models at every row of
+    X (T, M), class-major.  A linear block is one GEMM
+    (:func:`_linear_scores`); any other block predicts through
+    ``predict_batch`` in sub-blocks whose gathered rows stay within
+    _FIT_BLOCK_BYTES."""
+    if isinstance(stack, LinearModel):
+        return _linear_scores(stack, feats, X)
+    T, (B, m) = len(X), feats.shape
+    out = np.empty((B, stack.pred_dim, T))
+    sub = max(1, _FIT_BLOCK_BYTES // (8 * max(T * m, 1)))
     for a in range(0, B, sub):
         out[a:a + sub] = stack.take(slice(a, a + sub)).predict_batch(
-            X[:, feats[a:a + sub]].swapaxes(0, 1))
+            X[:, feats[a:a + sub]].swapaxes(0, 1)).swapaxes(1, 2)
     return out
+
+
+def _linear_scores(models: LinearModel, feats: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Predictions (B, d, T) of a block of linear models at points X
+    (T, M): one GEMM of the scattered coefficient rows against X plus
+    the intercepts, then for classification a softmax over the classes,
+    in place and stabilised as in ``predict_batch``; equal to it up to
+    rounding."""
+    (B, d), (T, M) = models.intercept.shape, X.shape
+    # the output before the rows: in the other order glibc's heap peaks
+    # about 1 MB higher in a ridge `bench coverage` run
+    scores = np.empty((B, d, T))
+    rows = _coef_rows(models, feats, M)
+    np.matmul(rows[..., :M].reshape(B * d, M), X.T, out=scores.reshape(B * d, T))
+    scores += rows[..., M:]
+    if models.task == Task.CLASSIFICATION:
+        scores -= scores.max(axis=1, keepdims=True)
+        np.exp(scores, out=scores)
+        scores /= scores.sum(axis=1, keepdims=True)
+    return scores
 
 
 def fit_patch_models(dataset: Dataset, learner, rows: np.ndarray,
@@ -496,7 +496,8 @@ def fit_patch_models(dataset: Dataset, learner, rows: np.ndarray,
         f = feats[lo:lo + step]
         stack = fit_patches(learner, X, Y, rows[lo:lo + step], f,
                             dataset.task, dataset.n_classes)
-        return lo, stack, None if each_block is None else _block_predictions(stack, f, X)
+        return lo, stack, (None if each_block is None
+                           else _block_predictions(stack, f, X).swapaxes(1, 2))
 
     parts = []
     # a stack of zero patches is still one (empty) block

@@ -5,17 +5,13 @@ axis.  ``predict_batch`` maps rows (..., T, m), restricted to each
 patch's feature slots, to predictions (..., T, d); ``take(idx)`` selects
 patches (an integer gives a single model, with the plain shapes of one
 fit) and ``join`` appends stacks.  Stacks are immutable and safe to
-share across threads.  Linear predictions go through one einsum kernel,
-so through ``predict_batch`` a row predicted alone is bit-equal to the
-same row in any batch or stack.  The ensemble's fit pass predicts at
-its training rows through it for non-affine stacks, which share that
-bit-equality; an affine regression block is one GEMM (see
-:mod:`mpinfer.ensemble`) and agrees with ``predict`` up to rounding
-only.  At new points both linear tasks leave this kernel: regression
-sums coefficients and classification forms a block's logits as one
-GEMM, so new-point LOO of a linear stack agrees with ``predict`` up to
-rounding, not bit for bit.  How a model is stored is known to this
-module alone; snapshots go through :func:`to_obj` and :func:`from_obj`.
+share across threads.  ``predict_batch`` is the single-model reference:
+a row predicted alone is bit-equal to the same row in any batch or
+stack.  The ensemble predicts a linear stack by one GEMM of its
+scattered coefficients instead (see :mod:`mpinfer.ensemble`), equal to
+``predict_batch`` up to rounding, and every other stack through
+``predict_batch``.  How a model is stored is known to this module
+alone; snapshots go through :func:`to_obj` and :func:`from_obj`.
 
 A process-wide fit counter records every base-learner fit; inference
 code paths are required to leave it untouched.
@@ -118,13 +114,7 @@ class LinearModel(FittedModel):
 
     def predict_batch(self, Z: np.ndarray) -> np.ndarray:
         Z = _check_block(self, Z)
-        if self.pred_dim > 1 and Z.ndim == self.coef.ndim == 3 and len(Z) == len(self.coef):
-            # at d > 1 a loop of per-patch einsums beats the stacked one
-            scores = np.empty(Z.shape[:-1] + (self.pred_dim,))
-            for z, c, out in zip(Z, self.coef, scores):
-                np.einsum("nm,md->nd", z, c, out=out)
-        else:
-            scores = np.einsum("...nm,...md->...nd", Z, self.coef)
+        scores = np.einsum("...nm,...md->...nd", Z, self.coef)
         scores += self.intercept[..., None, :]
         if self.task == Task.REGRESSION:
             return scores

@@ -167,23 +167,26 @@ class TestTraining:
         # every cache filled through predict_batch equals single-row predict
         for task, learner in [(Task.REGRESSION, TreeLearner(max_depth=3)),
                               (Task.REGRESSION, ConstantLearner()),
-                              (Task.CLASSIFICATION, RidgeLearner(lam=0.001)),
                               (Task.CLASSIFICATION, TreeLearner(max_depth=3))]:
             for again, cached in self.cache_against_predict(task, learner):
                 assert np.array_equal(again, cached), learner
 
-    def test_ridge_regression_cache_matches_predict(self):
-        # an affine cache is one GEMM, equal to single-row predict up to
+    @pytest.mark.parametrize("task", [Task.REGRESSION, Task.CLASSIFICATION],
+                             ids=["regression", "classification"])
+    def test_linear_cache_matches_predict(self, task):
+        # a linear cache is one GEMM, equal to single-row predict up to
         # rounding only
         for again, cached in self.cache_against_predict(
-                Task.REGRESSION, RidgeLearner(lam=0.001)):
+                task, RidgeLearner(lam=0.001)):
             assert np.allclose(again, cached, rtol=0, atol=1e-12)
 
-    def test_ridge_regression_cache_skips_predict_batch(self, monkeypatch):
+    @pytest.mark.parametrize("task", [Task.REGRESSION, Task.CLASSIFICATION],
+                             ids=["regression", "classification"])
+    def test_linear_cache_skips_predict_batch(self, monkeypatch, task):
         def refuse(self, Z):
-            raise AssertionError("affine cache filled through predict_batch")
+            raise AssertionError("linear cache filled through predict_batch")
         monkeypatch.setattr(LinearModel, "predict_batch", refuse)
-        ds = toy_dataset(N=30, M=6, seed=2)
+        ds = toy_dataset(N=30, M=6, seed=2, task=task)
         ens = train_ensemble(ds, MPConfig(n=6, m=3, K=80, seed=9,
                                           learner=RidgeLearner()))
         assert np.isfinite(ens.cache).all()

@@ -107,6 +107,43 @@ def test_conformal_reads_new_point_loo_in_chunks():
                                 if isinstance(node, ast.Attribute)}
 
 
+def predict_batch_uses(source: str) -> list[tuple[int, str]]:
+    """(line, function) of every ``predict_batch`` attribute, with the
+    innermost function that holds it ("" at module level): the places
+    that predict through a stack's own kernel."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == "predict_batch":
+                found.append((child.lineno, where))
+            visit(child, where)
+
+    visit(ast.parse(source), "")
+    return sorted(found)
+
+
+def test_detects_predict_batch_uses():
+    source = ("def _block_predictions(stack, Z):\n"
+              "    return stack.predict_batch(Z)\n"
+              "class Ensemble:\n"
+              "    def cache(self):\n"
+              "        def each(m):\n"
+              "            return m.predict_batch(self.X)\n"
+              "        return each\n"
+              "fn = models.predict_batch\n")
+    assert predict_batch_uses(source) == [
+        (2, "_block_predictions"), (6, "each"), (8, "")]
+
+
+def test_ensemble_predicts_only_through_block_predictions():
+    uses = predict_batch_uses((PACKAGE / "ensemble.py").read_text())
+    assert {where for _, where in uses} == {"_block_predictions"}
+
+
 def per_patch_restacks(source: str) -> list[tuple[int, str]]:
     """(line, field) of every comprehension whose elements read ``.rows``
     or ``.features`` of one of its own loop variables: a per-patch loop
